@@ -42,13 +42,16 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.parallel import ParallelSurveyRunner
+from repro.core.parallel import run_pooled_tasks
 from repro.core.survey import (
+    rr_task_body,
     run_ping_survey,
     run_rr_survey,
     save_survey,
 )
 from repro.obs.metrics import REGISTRY
+from repro.probing.prober import DEFAULT_PPS
+from repro.probing.scheduler import ProbeOrder
 from repro.scenarios.internet import Scenario
 from repro.scenarios.presets import get_preset
 
@@ -97,11 +100,20 @@ def _time_rr(
             profiler.enable()
         start = time.perf_counter()
         if force_pool and jobs == 1:
-            # The pool path refuses nothing at jobs=1; run_rr_survey
-            # would route this to the serial loop, so drive the runner
-            # directly to expose the pool's fixed overhead.
-            runner = ParallelSurveyRunner(scenario, jobs=1)
-            runner.run_rr(targets, vps)
+            # run_rr_survey routes jobs=1 to the serial loop; drive the
+            # pool directly to expose its fixed overhead.
+            payload = {
+                "task_body": rr_task_body,
+                "targets": targets,
+                "position": {d.addr: i for i, d in enumerate(targets)},
+                "vps": vps,
+                "order": ProbeOrder.RANDOM,
+                "slots": 9,
+                "pps": DEFAULT_PPS,
+                "validate": True,
+            }
+            tasks = [(i, vp.name) for i, vp in enumerate(vps)]
+            run_pooled_tasks(scenario, payload, tasks, 1, "rr")
         else:
             survey = run_rr_survey(scenario, dests=targets, vps=vps,
                                    jobs=jobs)

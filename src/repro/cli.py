@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--journal-output", type=Path, default=None, metavar="PATH",
         help="write per-VP flight-recorder journals as JSON here "
-             "(supervised runs only)",
+             "(pooled runs only: --jobs >= 2 or --supervise)",
     )
 
     top = sub.add_parser(

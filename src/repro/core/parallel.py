@@ -1,12 +1,11 @@
-"""Per-VP process fan-out: the parallel survey engine.
+"""Per-VP process fan-out for the survey studies.
 
 The paper's headline artifact is an all-VPs × all-prefixes ping-RR
 campaign (§3.1). Its parallelism structure is exactly the one real
 platforms exploit (each RIPE-Atlas/M-Lab vantage point paces and
 probes independently): one VP's complete probe sequence shares no
-*order-sensitive* state with any other VP's, so the campaign shards
-cleanly across a :mod:`multiprocessing` worker pool with one VP per
-task.
+*order-sensitive* state with any other VP's, so the survey shards
+cleanly across worker processes with one VP per task.
 
 Determinism contract (enforced by ``Network.begin_vp_session`` and
 tested byte-for-byte in ``tests/test_parallel_survey.py``):
@@ -23,50 +22,32 @@ tested byte-for-byte in ``tests/test_parallel_survey.py``):
 Under those rules the serial loop and any worker pool produce the same
 rows, and ``save_survey`` output is byte-identical for any ``jobs``.
 
-Worker plumbing: under the default ``fork`` start method workers
-inherit the parent's scenario copy-on-write (zero rebuild cost); under
-``spawn`` each worker rebuilds the scenario from its
-:class:`~repro.scenarios.internet.ScenarioParams` (bit-identical by
-construction). Each task returns compact result rows plus a pruned
-metrics-registry snapshot and the worker's per-AS options-load delta;
-the parent folds snapshots back with
-:meth:`repro.obs.metrics.MetricsRegistry.merge`, so campaign totals in
-``repro stats`` look exactly like a serial run's.
+The pool is :class:`~repro.faults.supervisor.WorkerWatchdog`, the one
+process pool every fan-out in the repo runs on. The survey bodies are
+:func:`~repro.core.survey.rr_task_body` and
+:func:`~repro.core.survey.ping_task_body`; the watchdog folds each
+task's metrics snapshot, options-load delta and spans back into the
+parent in key order, so ``repro stats`` totals after a parallel survey
+look exactly like a serial run's. A worker that dies or hangs is
+reported, never waited on forever.
 """
 
 from __future__ import annotations
 
-import contextlib
-import multiprocessing
-import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.obs.metrics import REGISTRY
-from repro.obs.spans import TRACER
-from repro.probing.prober import DEFAULT_PPS
-from repro.probing.scheduler import ProbeOrder, split_round_robin
-from repro.probing.vantage import VantagePoint
-from repro.scenarios.internet import Scenario, build_scenario
-from repro.topology.hitlist import Destination
+from repro.faults.supervisor import SupervisionConfig, WorkerWatchdog
+from repro.scenarios.internet import Scenario
 
-__all__ = [
-    "ParallelSurveyRunner",
-    "SurveyWorkerError",
-    "default_jobs",
-    "parent_scenario",
-    "run_pooled_tasks",
-]
+__all__ = ["SurveyWorkerError", "run_pooled_tasks"]
 
 
 class SurveyWorkerError(RuntimeError):
     """A worker task failed, attributed to the unit of work that owned it.
 
-    Raw exceptions crossing a :mod:`multiprocessing` pool arrive in the
-    parent stripped of any clue *which* task died — useless for a
-    campaign that needs to retry (or report) the right vantage point.
-    Worker task bodies therefore wrap failures in this error, which
-    names the task kind (``"rr"`` / ``"ping"``), the task index, and
-    the owning VP (or shard) before the traceback ships home.
+    Names the task kind (``"rr"`` / ``"ping"``), the task index, and
+    the owning VP (or shard), so a caller can retry or report the right
+    vantage point.
 
     All constructor arguments are forwarded to ``RuntimeError`` so the
     exception round-trips through pickle (``BaseException`` pickles by
@@ -89,299 +70,28 @@ class SurveyWorkerError(RuntimeError):
         )
 
 
-def default_jobs() -> int:
-    """The fan-out used for ``jobs=None``: one worker per CPU."""
-    return os.cpu_count() or 1
-
-
-# ---------------------------------------------------------------------------
-# Worker-side state.
-#
-# ``_PARENT_SCENARIO`` is the fork-inheritance handoff: the parent sets
-# it just before creating the pool; forked children see it and reuse
-# the inherited (copy-on-write) scenario. Spawned children re-import
-# this module, find it ``None``, and rebuild from the pickled params.
-# ---------------------------------------------------------------------------
-
-_PARENT_SCENARIO: Optional[Scenario] = None
-_WORKER: Optional[dict] = None
-
-
-@contextlib.contextmanager
-def parent_scenario(scenario: Scenario) -> Iterator[None]:
-    """Expose ``scenario`` to forked workers for the ``with`` body.
-
-    Factored out of :meth:`ParallelSurveyRunner._run_pool` so the
-    campaign runner (``repro.faults.campaign``) can drive its own pool
-    with the same fork-inheritance handoff.
-    """
-    global _PARENT_SCENARIO
-    _PARENT_SCENARIO = scenario
-    try:
-        yield
-    finally:
-        _PARENT_SCENARIO = None
-
-
-def _init_worker(payload: dict) -> None:
-    global _WORKER
-    scenario = _PARENT_SCENARIO
-    if scenario is None:
-        scenario = build_scenario(payload["params"])
-    _WORKER = dict(payload, scenario=scenario)
-    # Span tracing follows the parent's setting explicitly: forked
-    # workers inherit the parent tracer's flag, spawned workers start
-    # disabled — the payload key makes both behave the same.
-    TRACER.configure(bool(payload.get("spans", False)))
-    # The batched-dataplane switch rides along the same way, so a
-    # legacy-mode parent benchmarks legacy workers (and parity runs
-    # compare like against like). Workers compile their own plans.
-    scenario.prober.batching = bool(payload.get("batch", True))
-
-
-def _compact_snapshot(snapshot: Dict[str, dict]) -> Dict[str, dict]:
-    """Prune a worker snapshot before shipping it to the parent.
-
-    Zero-valued series carry no information; gauges are process-local
-    levels (cache sizes of a throwaway worker) whose last-write-wins
-    merge semantics would stomp the parent's own values, so workers
-    never ship them.
-    """
-    out: Dict[str, dict] = {}
-    for name, family in snapshot.items():
-        if family["type"] == "gauge":
-            continue
-        if family["type"] == "histogram":
-            series = [s for s in family["series"] if s["count"]]
-        else:
-            series = [s for s in family["series"] if s["value"]]
-        if series:
-            out[name] = dict(family, series=series)
-    return out
-
-
 def run_pooled_tasks(
     scenario: Scenario,
     payload: dict,
-    task,
-    tasks: Sequence,
+    tasks: Sequence[tuple],
     jobs: int,
-    mp_context: Optional[multiprocessing.context.BaseContext] = None,
-    unpack=None,
-) -> List[tuple]:
-    """Map ``task`` over ``tasks`` in a worker pool, folding telemetry.
+    kind: str,
+) -> List:
+    """Run ``(index, label)`` tasks on a pool of ``jobs`` workers.
 
-    The one pooled-execution shape every fan-out in the repo shares:
-    expose the scenario for fork inheritance, initialise workers from
-    ``payload``, dispatch with ``imap_unordered`` (completion order is
-    irrelevant because results are re-sorted by their first element —
-    the task key — before any merging), then fold each result's
-    telemetry back into the parent in key order so registry totals and
-    span buffers are independent of completion order.
-
-    ``unpack(item) -> (snapshot, options_load_delta, spans)`` tells the
-    fold where a task result keeps its telemetry; pass ``None`` to skip
-    folding entirely (caller does its own).
+    ``payload`` carries the ``task_body`` and the state it reads.
+    Returns each task's rows in index order. Raises
+    :class:`SurveyWorkerError` for the first task, in index order,
+    that did not end ``ok``: the body raised, or its worker died or
+    hung.
     """
-    ctx = multiprocessing.get_context() if mp_context is None else mp_context
     tasks = list(tasks)
-    results: List[tuple] = []
-    with parent_scenario(scenario):
-        with ctx.Pool(
-            processes=max(1, min(jobs, len(tasks))),
-            initializer=_init_worker,
-            initargs=(payload,),
-        ) as pool:
-            for item in pool.imap_unordered(task, tasks, chunksize=1):
-                results.append(item)
-    results.sort(key=lambda item: item[0])
-    if unpack is not None:
-        options_load = scenario.network.options_load
-        for item in results:
-            snapshot, load_delta, spans = unpack(item)
-            REGISTRY.merge(snapshot)
-            TRACER.merge(spans)
-            for asn, count in load_delta.items():
-                options_load[asn] = options_load.get(asn, 0) + count
+    with WorkerWatchdog(scenario, payload, jobs, SupervisionConfig()) as pool:
+        outcomes = pool.run_tasks(tasks)
+    results = []
+    for index, label in sorted(task[:2] for task in tasks):
+        rows, outcome, error = outcomes[index]
+        if outcome != "ok":
+            raise SurveyWorkerError(kind, index, label, error)
+        results.append(rows)
     return results
-
-
-def _rr_task(vp_index: int) -> tuple:
-    """One VP's full ping-RR sequence, in an isolated metrics window."""
-    from repro.core.survey import probe_vp_rr
-
-    state = _WORKER
-    assert state is not None, "worker initialized without state"
-    scenario: Scenario = state["scenario"]
-    # The registry (and span buffer) in this process is a private copy
-    # (fork) or fresh (spawn); zeroing both per task makes the closing
-    # snapshots exactly this task's contribution.
-    REGISTRY.reset()
-    TRACER.reset()
-    scenario.network.options_load.clear()
-    targets: List[Destination] = state["targets"]
-    position: Dict[int, int] = state["position"]
-    vp: VantagePoint = state["vps"][vp_index]
-    try:
-        rows = probe_vp_rr(
-            scenario,
-            vp,
-            targets,
-            position,
-            order=state["order"],
-            slots=state["slots"],
-            pps=state["pps"],
-            validate=state.get("validate", True),
-        )
-    except Exception as exc:  # noqa: BLE001 — attribute, then re-raise
-        raise SurveyWorkerError(
-            "rr", vp_index, vp.name, f"{type(exc).__name__}: {exc}"
-        ) from exc
-    return (
-        vp_index,
-        rows,
-        _compact_snapshot(REGISTRY.snapshot()),
-        dict(scenario.network.options_load),
-        TRACER.snapshot(),
-    )
-
-
-def _ping_task(shard_index: int) -> tuple:
-    """One fixed destination shard of the origin plain-ping study."""
-    from repro.core.survey import probe_ping_shard
-
-    state = _WORKER
-    assert state is not None, "worker initialized without state"
-    scenario: Scenario = state["scenario"]
-    REGISTRY.reset()
-    TRACER.reset()
-    scenario.network.options_load.clear()
-    shard: List[Destination] = state["shards"][shard_index]
-    try:
-        rows = probe_ping_shard(
-            scenario,
-            shard_index,
-            shard,
-            count=state["count"],
-            pps=state["pps"],
-        )
-    except Exception as exc:  # noqa: BLE001 — attribute, then re-raise
-        raise SurveyWorkerError(
-            "ping",
-            shard_index,
-            f"shard-{shard_index}",
-            f"{type(exc).__name__}: {exc}",
-        ) from exc
-    return (
-        shard_index,
-        rows,
-        _compact_snapshot(REGISTRY.snapshot()),
-        dict(scenario.network.options_load),
-        TRACER.snapshot(),
-    )
-
-
-class ParallelSurveyRunner:
-    """Shards survey campaigns across a per-VP process pool.
-
-    One instance wraps one scenario; :meth:`run_rr` and
-    :meth:`run_ping` each spin up a pool of ``jobs`` workers, dispatch
-    one VP (or destination shard) per task, and merge compact rows,
-    metrics snapshots, and options-load deltas back into the parent.
-
-    Usually reached through ``run_rr_survey(..., jobs=N)`` /
-    ``run_ping_survey(..., jobs=N)`` rather than directly.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        jobs: Optional[int] = None,
-        mp_context: Optional[multiprocessing.context.BaseContext] = None,
-    ) -> None:
-        self.scenario = scenario
-        self.jobs = default_jobs() if jobs is None else int(jobs)
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be positive: {jobs}")
-        self._ctx = (
-            multiprocessing.get_context() if mp_context is None else mp_context
-        )
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _run_pool(
-        self, payload: dict, task, task_count: int, workers: int
-    ) -> List[tuple]:
-        """Run ``task`` over ``range(task_count)``, merging telemetry.
-
-        Results are re-ordered by task index before metric merging so
-        parent-side totals are independent of completion order.
-        """
-        return run_pooled_tasks(
-            self.scenario,
-            payload,
-            task,
-            range(task_count),
-            workers,
-            mp_context=self._ctx,
-            unpack=lambda item: (item[2], item[3], item[4]),
-        )
-
-    # -- campaigns ---------------------------------------------------------
-
-    def run_rr(
-        self,
-        targets: Sequence[Destination],
-        vps: Sequence[VantagePoint],
-        pps: float = DEFAULT_PPS,
-        order: ProbeOrder = ProbeOrder.RANDOM,
-        slots: int = 9,
-        validate: bool = True,
-    ) -> List[tuple]:
-        """Per-VP result rows for the RR survey, in VP order."""
-        targets = list(targets)
-        payload = {
-            "params": self.scenario.params,
-            "targets": targets,
-            "position": {
-                dest.addr: index for index, dest in enumerate(targets)
-            },
-            "vps": list(vps),
-            "order": order,
-            "slots": slots,
-            "pps": pps,
-            "spans": TRACER.enabled,
-            "batch": self.scenario.prober.batching,
-            "validate": validate,
-        }
-        results = self._run_pool(payload, _rr_task, len(payload["vps"]),
-                                 self.jobs)
-        return [rows for _index, rows, _snap, _load, _spans in results]
-
-    def run_ping(
-        self,
-        targets: Sequence[Destination],
-        count: int = 3,
-        pps: float = DEFAULT_PPS,
-    ) -> List[Tuple[int, bool]]:
-        """(addr, responded) pairs for the ping survey, in shard-deal
-        order — identical for every parallel degree."""
-        from repro.core.survey import PING_SHARDS
-
-        targets = list(targets)
-        shards = split_round_robin(
-            targets, min(PING_SHARDS, len(targets))
-        )
-        payload = {
-            "params": self.scenario.params,
-            "shards": shards,
-            "count": count,
-            "pps": pps,
-            "spans": TRACER.enabled,
-            "batch": self.scenario.prober.batching,
-        }
-        results = self._run_pool(payload, _ping_task, len(shards), self.jobs)
-        merged: List[Tuple[int, bool]] = []
-        for _index, rows, _snap, _load, _spans in results:
-            merged.extend(rows)
-        return merged

@@ -46,7 +46,11 @@ from repro.probing.artifacts import (
 from repro.obs.spans import TRACER
 from repro.obs.timing import timed
 from repro.probing.prober import DEFAULT_PPS
-from repro.probing.scheduler import ProbeOrder, order_destinations
+from repro.probing.scheduler import (
+    ProbeOrder,
+    order_destinations,
+    split_round_robin,
+)
 from repro.probing.vantage import Platform, VantagePoint
 from repro.scenarios.internet import Scenario
 from repro.topology.hitlist import Destination
@@ -55,6 +59,8 @@ __all__ = [
     "PingSurvey",
     "RRSurvey",
     "SurveyFormatError",
+    "ping_task_body",
+    "rr_task_body",
     "run_ping_survey",
     "run_rr_survey",
     "save_survey",
@@ -570,12 +576,14 @@ def probe_ping_shard(
     targets: Sequence[Destination],
     count: int = 3,
     pps: float = DEFAULT_PPS,
+    heartbeat: Optional[Callable[[], None]] = None,
 ) -> List[Tuple[int, bool]]:
     """One fixed shard of the origin plain-ping study.
 
     Sharding uses :data:`PING_SHARDS` deterministic loss-stream
     sessions regardless of worker count, so any parallel degree yields
-    the same survey.
+    the same survey. ``heartbeat`` is the per-destination progress
+    hook, as for :func:`probe_vp_rr`.
     """
     origin = scenario.origin
     assert origin is not None
@@ -587,7 +595,8 @@ def probe_ping_shard(
             shard=shard_index, targets=len(targets),
         ):
             results = scenario.prober.probe_batch_ping(
-                origin, list(targets), count=count, pps=pps
+                origin, list(targets), count=count, pps=pps,
+                heartbeat=heartbeat,
             )
             out = [
                 (dest.addr, result.responded)
@@ -596,6 +605,40 @@ def probe_ping_shard(
     finally:
         network.end_vp_session()
     return out
+
+
+def rr_task_body(
+    state: dict, task: tuple, heartbeat: Optional[Callable[[], None]] = None
+) -> VPRows:
+    """The pooled RR survey's task body: ``task`` is ``(vp_index,
+    vp_name)``; ``state`` is the payload :func:`run_rr_survey` builds."""
+    return probe_vp_rr(
+        state["scenario"],
+        state["vps"][task[0]],
+        state["targets"],
+        state["position"],
+        order=state["order"],
+        slots=state["slots"],
+        pps=state["pps"],
+        heartbeat=heartbeat,
+        validate=state["validate"],
+    )
+
+
+def ping_task_body(
+    state: dict, task: tuple, heartbeat: Optional[Callable[[], None]] = None
+) -> List[Tuple[int, bool]]:
+    """The pooled ping survey's task body: ``task`` is
+    ``(shard_index, label)``."""
+    shard_index = task[0]
+    return probe_ping_shard(
+        state["scenario"],
+        shard_index,
+        state["shards"][shard_index],
+        count=state["count"],
+        pps=state["pps"],
+        heartbeat=heartbeat,
+    )
 
 
 def run_ping_survey(
@@ -611,25 +654,35 @@ def run_ping_survey(
     across a process pool; any parallel degree produces identical
     results (per-shard loss sessions). ``jobs=1`` is the serial path.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive: {jobs}")
     if scenario.origin is None:
         raise ValueError("scenario has no origin vantage point")
     targets = list(scenario.hitlist) if dests is None else list(dests)
     survey = PingSurvey(origin_name=scenario.origin.name)
     with TRACER.span(
         "ping_survey", clock=scenario.network.clock,
-        targets=len(targets), jobs=jobs or 1,
+        targets=len(targets), jobs=jobs,
     ):
-        if jobs is not None and jobs >= 2 and len(targets) > 1:
-            from repro.core.parallel import ParallelSurveyRunner
-
-            runner = ParallelSurveyRunner(scenario, jobs=jobs)
-            with timed("ping_survey"):
-                for addr, responded in runner.run_ping(
-                    targets, count=count, pps=pps
-                ):
-                    survey.responsive[addr] = responded
-            return survey
         with timed("ping_survey"):
+            if jobs >= 2 and len(targets) > 1:
+                from repro.core.parallel import run_pooled_tasks
+
+                shards = split_round_robin(
+                    targets, min(PING_SHARDS, len(targets))
+                )
+                payload = {
+                    "task_body": ping_task_body,
+                    "shards": shards,
+                    "count": count,
+                    "pps": pps,
+                }
+                tasks = [(i, f"shard-{i}") for i in range(len(shards))]
+                for rows in run_pooled_tasks(
+                    scenario, payload, tasks, jobs, "ping"
+                ):
+                    survey.responsive.update(rows)
+                return survey
             results = scenario.prober.probe_batch_ping(
                 scenario.origin, targets, count=count, pps=pps
             )
@@ -666,6 +719,8 @@ def run_rr_survey(
     benchmark baseline for the validation-overhead gate. On a clean
     network the survey bytes are identical either way.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive: {jobs}")
     targets = list(scenario.hitlist) if dests is None else list(dests)
     vp_list = list(scenario.vps) if vps is None else list(vps)
     survey = RRSurvey(
@@ -678,19 +733,27 @@ def run_rr_survey(
     position = {dest.addr: index for index, dest in enumerate(targets)}
     with TRACER.span(
         "rr_survey", clock=scenario.network.clock,
-        vps=len(vp_list), targets=len(targets), jobs=jobs or 1,
+        vps=len(vp_list), targets=len(targets), jobs=jobs,
     ):
-        if jobs is not None and jobs >= 2 and len(vp_list) > 1:
-            from repro.core.parallel import ParallelSurveyRunner
+        with timed("rr_survey"):
+            if jobs >= 2 and len(vp_list) > 1:
+                from repro.core.parallel import run_pooled_tasks
 
-            runner = ParallelSurveyRunner(scenario, jobs=jobs)
-            with timed("rr_survey"):
-                per_vp = runner.run_rr(
-                    targets, vp_list, pps=pps, order=order, slots=slots,
-                    validate=validate,
+                payload = {
+                    "task_body": rr_task_body,
+                    "targets": targets,
+                    "position": position,
+                    "vps": vp_list,
+                    "order": order,
+                    "slots": slots,
+                    "pps": pps,
+                    "validate": validate,
+                }
+                tasks = [(i, vp.name) for i, vp in enumerate(vp_list)]
+                per_vp = run_pooled_tasks(
+                    scenario, payload, tasks, jobs, "rr"
                 )
-        else:
-            with timed("rr_survey"):
+            else:
                 per_vp = [
                     probe_vp_rr(
                         scenario, vp, targets, position,

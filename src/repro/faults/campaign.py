@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.parallel import _compact_snapshot, run_pooled_tasks
 from repro.core.survey import (
     RRSurvey,
     SurveyFormatError,
@@ -53,7 +52,8 @@ from repro.faults.supervisor import (
     SupervisionConfig,
     VpHealthTracker,
     WorkerWatchdog,
-    run_vp_attempt,
+    run_tasks_inline,
+    vp_attempt_body,
 )
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.spans import TRACER
@@ -167,8 +167,8 @@ class CampaignResult:
     #: :func:`repro.probing.validation.empty_quality`).
     quality: dict = field(default_factory=empty_quality)
     quarantine_sidecar: Optional[str] = None
-    #: Per-VP flight-recorder history from the supervised run (empty
-    #: unsupervised). Not part of :meth:`manifest` — quarantine reasons
+    #: Per-VP flight-recorder history from the pooled run (empty for
+    #: in-process runs). Not part of :meth:`manifest` — quarantine reasons
     #: embed their own journal tails; the full map is the
     #: ``--journal-output`` artifact.
     journals: Dict[str, List[dict]] = field(default_factory=dict)
@@ -216,63 +216,6 @@ class CampaignResult:
                 "quarantine_sidecar": self.quarantine_sidecar,
             },
         }
-
-
-# ---------------------------------------------------------------------------
-# Worker task (module-level so it pickles by reference).
-# ---------------------------------------------------------------------------
-
-
-def _campaign_rr_task(task: Tuple[int, int]) -> tuple:
-    """One VP's faulted probe attempt; failures return, never raise.
-
-    ``task`` is ``(vp_index, attempt)`` — the attempt number lets the
-    fault plan arm attempt-scoped pathologies (``VpHang``/``VpCrash``)
-    deterministically. In this *unsupervised* pool there is no
-    watchdog to recover a wedged worker, so injected hangs degrade to
-    immediate failures (``allow_hang=False``).
-
-    Returns ``(vp_index, rows_or_None, snapshot, options_load, error,
-    spans)`` — a failed VP must not poison the whole pool ``map``, so
-    the exception is stringified and shipped home for the retry loop.
-    """
-    from repro.core.parallel import _WORKER
-
-    vp_index, attempt = task
-    state = _WORKER
-    assert state is not None, "worker initialized without state"
-    scenario: Scenario = state["scenario"]
-    REGISTRY.reset()
-    TRACER.reset()
-    scenario.network.options_load.clear()
-    vp: VantagePoint = state["vps"][vp_index]
-    plan: FaultPlan = state["plan"]
-    error: Optional[str] = None
-    rows: Optional[VPRows] = None
-    try:
-        rows = run_vp_attempt(
-            scenario,
-            vp,
-            attempt,
-            plan,
-            state["targets"],
-            state["position"],
-            state["order"],
-            state["slots"],
-            state["pps"],
-            state["horizon"],
-            allow_hang=False,
-        )
-    except Exception as exc:  # noqa: BLE001 — shipped to the retry loop
-        error = f"{type(exc).__name__}: {exc}"
-    return (
-        vp_index,
-        rows,
-        _compact_snapshot(REGISTRY.snapshot()),
-        dict(scenario.network.options_load),
-        error,
-        TRACER.snapshot(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +322,12 @@ def load_checkpoint_with_fallback(
 class CampaignRunner:
     """Drives a fault-tolerant, resumable all-VPs RR campaign.
 
-    Wraps the same per-VP unit of work as
-    :class:`~repro.core.parallel.ParallelSurveyRunner` (and reuses its
-    fork-inheritance plumbing), adding the retry/backoff/budget/
-    checkpoint machinery described in the module docstring.
+    Runs the same per-VP unit of work as the pooled survey, through
+    :func:`~repro.faults.supervisor.vp_attempt_body`, adding the
+    retry/backoff/budget/checkpoint machinery described in the module
+    docstring. ``jobs >= 2`` (or supervision) runs rounds on one
+    :class:`~repro.faults.supervisor.WorkerWatchdog` kept warm across
+    rounds; unsupervised ``jobs=1`` runs them in-process.
 
     Determinism: because each VP session is self-contained and every
     fault decision keys off ``(plan seed, vp name, session time)``,
@@ -641,31 +586,35 @@ class CampaignRunner:
         killed: Optional[CampaignInterrupted] = None
 
         # Supervision (opt-in): a health tracker making quarantine and
-        # breaker decisions in the parent, plus a persistent watchdog
-        # pool replacing the plain Pool for round execution.
+        # breaker decisions in the parent. Pooled rounds (jobs >= 2, or
+        # any supervised run) share one persistent watchdog; without
+        # supervision it runs on default settings and injected
+        # hangs/crashes stay ordinary failures.
+        supervised = self.supervision is not None
+        payload = {
+            "task_body": vp_attempt_body,
+            "targets": target_list,
+            "position": position,
+            "vps": vp_list,
+            "order": self.order,
+            "slots": self.slots,
+            "pps": self.pps,
+            "plan": self.plan,
+            "horizon": horizon,
+            "supervised": supervised,
+        }
         tracker: Optional[VpHealthTracker] = None
         watchdog: Optional[WorkerWatchdog] = None
-        if self.supervision is not None:
+        if supervised:
             tracker = VpHealthTracker(
                 self.supervision, scenario.network.net_id
             )
+        if supervised or self.jobs >= 2:
             watchdog = WorkerWatchdog(
                 scenario,
-                {
-                    "params": scenario.params,
-                    "targets": target_list,
-                    "position": position,
-                    "vps": vp_list,
-                    "order": self.order,
-                    "slots": self.slots,
-                    "pps": self.pps,
-                    "plan": self.plan,
-                    "horizon": horizon,
-                    "spans": TRACER.enabled,
-                    "batch": scenario.prober.batching,
-                },
+                payload,
                 self.jobs,
-                self.supervision,
+                self.supervision or SupervisionConfig(),
             )
 
         # Live status: atomically published snapshots any observer
@@ -689,7 +638,7 @@ class CampaignRunner:
             fields: dict = {
                 "scenario": scenario.name,
                 "seed": scenario.seed,
-                "supervised": self.supervision is not None,
+                "supervised": supervised,
                 "total_vps": len(vp_list),
                 "completed_vps": len(completed),
                 "pending_vps": len(pending),
@@ -737,7 +686,7 @@ class CampaignRunner:
             seed=scenario.seed,
             vps=len(vp_list),
             targets=len(target_list),
-            supervised=self.supervision is not None,
+            supervised=supervised,
         )
         publish("running", force=True)
         try:
@@ -797,6 +746,7 @@ class CampaignRunner:
                 tasks = [
                     (
                         index,
+                        vp_list[index].name,
                         attempts.get(vp_list[index].name, 0) + 1,
                     )
                     for index in runnable
@@ -805,8 +755,10 @@ class CampaignRunner:
                     if watchdog is not None:
                         outcomes = watchdog.run_tasks(tasks)
                     else:
-                        outcomes = self._run_round(
-                            tasks, target_list, position, vp_list, horizon
+                        outcomes = run_tasks_inline(
+                            vp_attempt_body,
+                            dict(payload, scenario=scenario),
+                            tasks,
                         )
                     still_pending: List[int] = []
                     for index in pending:
@@ -944,7 +896,7 @@ class CampaignRunner:
                 if self.checkpoint_path is None
                 else str(self.checkpoint_path)
             ),
-            supervised=self.supervision is not None,
+            supervised=supervised,
             quarantined=quarantined,
             breaker_states=(
                 {} if tracker is None else tracker.breaker_states()
@@ -992,98 +944,3 @@ class CampaignRunner:
         }
         atomic_write_bytes(path, canonical_json_bytes(embed_checksum(record)))
         return str(path)
-
-    # -- round execution ---------------------------------------------------
-
-    def _run_round(
-        self,
-        tasks: List[Tuple[int, int]],
-        targets: List[Destination],
-        position: Dict[int, int],
-        vp_list: List[VantagePoint],
-        horizon: float,
-    ) -> Dict[int, Tuple[Optional[VPRows], str, Optional[str]]]:
-        """Probe ``(vp_index, attempt)`` tasks once; never raises per-VP.
-
-        Returns ``{vp_index: (rows_or_None, kind, error_or_None)}``
-        with ``kind`` in ``{"ok", "failed"}`` — the unsupervised paths
-        cannot observe hangs or worker deaths as such (injected hangs
-        degrade to failures via ``allow_hang=False``).
-        """
-        outcomes: Dict[
-            int, Tuple[Optional[VPRows], str, Optional[str]]
-        ] = {}
-        if not tasks:
-            return outcomes
-        if self.jobs >= 2 and len(tasks) > 1:
-            return self._run_round_pool(
-                tasks, targets, position, vp_list, horizon
-            )
-        # Serial path: the shared task body runs against the live
-        # network; the parent registry counts events directly.
-        for vp_index, attempt in tasks:
-            try:
-                rows = run_vp_attempt(
-                    self.scenario,
-                    vp_list[vp_index],
-                    attempt,
-                    self.plan,
-                    targets,
-                    position,
-                    self.order,
-                    self.slots,
-                    self.pps,
-                    horizon,
-                    allow_hang=False,
-                )
-                outcomes[vp_index] = (rows, "ok", None)
-            except Exception as exc:  # noqa: BLE001 — retried
-                outcomes[vp_index] = (
-                    None,
-                    "failed",
-                    f"{type(exc).__name__}: {exc}",
-                )
-        return outcomes
-
-    def _run_round_pool(
-        self,
-        tasks: List[Tuple[int, int]],
-        targets: List[Destination],
-        position: Dict[int, int],
-        vp_list: List[VantagePoint],
-        horizon: float,
-    ) -> Dict[int, Tuple[Optional[VPRows], str, Optional[str]]]:
-        payload = {
-            "params": self.scenario.params,
-            "targets": targets,
-            "position": position,
-            "vps": vp_list,
-            "order": self.order,
-            "slots": self.slots,
-            "pps": self.pps,
-            "plan": self.plan,
-            "horizon": horizon,
-            "spans": TRACER.enabled,
-            "batch": self.scenario.prober.batching,
-        }
-        # Telemetry is merged in VP order inside run_pooled_tasks, so
-        # parent totals are independent of completion order (same rule
-        # as ParallelSurveyRunner).
-        results = run_pooled_tasks(
-            self.scenario,
-            payload,
-            _campaign_rr_task,
-            tasks,
-            self.jobs,
-            unpack=lambda item: (item[2], item[3], item[5]),
-        )
-        outcomes: Dict[
-            int, Tuple[Optional[VPRows], str, Optional[str]]
-        ] = {}
-        for vp_index, rows, _snapshot, _load, error, _spans in results:
-            outcomes[vp_index] = (
-                rows,
-                "ok" if error is None else "failed",
-                error,
-            )
-        return outcomes

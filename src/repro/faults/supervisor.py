@@ -1,17 +1,21 @@
-"""Supervised execution for the parallel survey engine.
+"""The process pool and its supervision.
 
-The campaign runner (PR 3) retries *failures* — tasks that die with an
-exception. Real measurement platforms face two nastier pathologies
-("A Day in the Life of RIPE Atlas"): workers that *wedge* — still
-alive, never progressing — and vantage points that fail the same way
-every time, burning the retry budget round after round. This module
-adds the missing supervision:
+Every pooled fan-out in the repo (the survey studies, campaign rounds,
+service units) runs on :class:`WorkerWatchdog`. The campaign runner
+retries *failures* — tasks that die with an exception. Real
+measurement platforms face two nastier pathologies ("A Day in the
+Life of RIPE Atlas"): workers that *wedge* — still alive, never
+progressing — and vantage points that fail the same way every time,
+burning the retry budget round after round. This module adds the
+missing supervision:
 
-* **Heartbeats** — :func:`~repro.core.survey.probe_vp_rr` pings a
-  per-worker shared double (``multiprocessing.Value('d')``, the
-  monotonic clock) once per destination. Heartbeats are writes to an
-  8-byte aligned slot; the hot loop pays one attribute store per
-  destination, nothing more.
+* **Heartbeats** — :func:`~repro.core.survey.probe_vp_rr` calls a
+  heartbeat hook once per destination; the worker stores the
+  destination count in a per-worker shared slot
+  (``multiprocessing.Value``) and, at the first and every
+  :data:`~repro.obs.journal.JOURNAL_PROGRESS_EVERY`-th destination,
+  the monotonic clock in a second slot beside it. The hot loop pays
+  one 8-byte store per destination, nothing more.
 * **:class:`WorkerWatchdog`** — a persistent pool of worker processes,
   one duplex pipe each. The parent multiplexes results with
   ``multiprocessing.connection.wait`` and, on every poll, scans
@@ -55,7 +59,6 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as _mp_wait
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.parallel import _init_worker, parent_scenario
 from repro.core.survey import VPRows, probe_vp_rr
 from repro.faults.injector import FaultInjector
 from repro.faults.specs import FaultPlan, VpCrash, VpHang
@@ -71,6 +74,7 @@ from repro.obs.metrics import (
     REGISTRY,
 )
 from repro.obs.spans import TRACER
+from repro.scenarios.internet import Scenario, build_scenario
 
 __all__ = [
     "SupervisionConfig",
@@ -80,7 +84,9 @@ __all__ = [
     "WorkerWatchdog",
     "InjectedHang",
     "InjectedCrash",
+    "run_tasks_inline",
     "run_vp_attempt",
+    "vp_attempt_body",
     "supervisor_hang_counter",
     "supervisor_crash_counter",
     "supervisor_respawn_counter",
@@ -298,11 +304,10 @@ def run_vp_attempt(
 ) -> VPRows:
     """One VP campaign attempt with faults (incl. hang/crash) injected.
 
-    The single task body shared by the serial campaign loop, the
-    unsupervised pool task, and the supervised worker: attaches the
-    fault injector for the session, arms VpHang/VpCrash specs that
-    apply to ``(vp, attempt)``, and runs the full probe sequence.
-    Callers own metrics isolation (registry reset/snapshot).
+    What :func:`vp_attempt_body` runs, in-process or in a worker:
+    attaches the fault injector for the session, arms VpHang/VpCrash
+    specs that apply to ``(vp, attempt)``, and runs the full probe
+    sequence. Callers own metrics isolation (registry reset/snapshot).
 
     ``allow_hang=False`` converts an armed hang into an immediate
     :class:`InjectedHang` — the honest stand-in for "stuck forever" in
@@ -570,8 +575,15 @@ class VpHealthTracker:
 
 
 # ---------------------------------------------------------------------------
-# The supervised worker pool.
+# Worker-side state and the worker loop.
+#
+# ``_PARENT_SCENARIO`` is the fork-inheritance handoff: the parent sets
+# it while it starts a worker; forked children see it and reuse the
+# inherited (copy-on-write) scenario. Spawned children re-import this
+# module, find it ``None``, and rebuild from the pickled params.
 # ---------------------------------------------------------------------------
+
+_PARENT_SCENARIO: Optional[Scenario] = None
 
 #: Exit status a worker uses for an injected crash (distinguishable
 #: from Python tracebacks' status 1 in logs; the parent treats any
@@ -579,146 +591,192 @@ class VpHealthTracker:
 _CRASH_EXIT_STATUS = 13
 
 
-def _supervised_worker_main(payload, conn, heartbeat_value) -> None:
-    """Long-lived worker loop: recv task, probe, send result.
+def _init_worker(payload: dict) -> dict:
+    """The state every task body reads: ``payload`` plus the scenario."""
+    scenario = _PARENT_SCENARIO
+    if scenario is None:
+        scenario = build_scenario(payload["params"])
+    # Span tracing follows the parent's setting explicitly: forked
+    # workers inherit the parent tracer's flag, spawned workers start
+    # disabled — the payload key makes both behave the same.
+    TRACER.configure(bool(payload["spans"]))
+    # The batched-dataplane switch rides along the same way, so a
+    # legacy-mode parent benchmarks legacy workers (and parity runs
+    # compare like against like). Workers compile their own plans.
+    scenario.prober.batching = bool(payload["batch"])
+    return dict(payload, scenario=scenario)
 
-    The heartbeat slot is bumped when a task is picked up, once per
-    destination during the probe (via :func:`run_vp_attempt`'s
-    heartbeat hook), and once more just before the (potentially
-    large) result send — so a worker blocked handing bytes to a busy
-    parent is never mistaken for a hung one.
 
-    Flight recording: every task start, first destination, every
-    :data:`~repro.obs.journal.JOURNAL_PROGRESS_EVERY`-th destination,
-    and every task end is journalled into a :class:`FlightRecorder`
-    and flushed *incrementally* over this same pipe as a tagged
-    ``("journal", vp_index, attempt, events)`` message — so when the
-    watchdog kills this process, the parent already holds its final
-    recorded moments for the quarantine manifest.
+def _compact_snapshot(snapshot: Dict[str, dict]) -> Dict[str, dict]:
+    """Prune a worker snapshot before shipping it to the parent.
+
+    Zero-valued series carry no information; gauges are process-local
+    levels (cache sizes of a throwaway worker) whose last-write-wins
+    merge semantics would stomp the parent's own values, so workers
+    never ship them.
     """
-    from repro.core import parallel as _parallel
+    out: Dict[str, dict] = {}
+    for name, family in snapshot.items():
+        if family["type"] == "gauge":
+            continue
+        if family["type"] == "histogram":
+            series = [s for s in family["series"] if s["count"]]
+        else:
+            series = [s for s in family["series"] if s["value"]]
+        if series:
+            out[name] = dict(family, series=series)
+    return out
 
-    _init_worker(payload)
-    state = _parallel._WORKER
-    assert state is not None
+
+def vp_attempt_body(
+    state: dict, task: tuple, heartbeat: Optional[Callable[[], None]] = None
+) -> VPRows:
+    """The campaign's task body: one attempt of one VP.
+
+    ``task`` is ``(vp_index, vp_name, attempt)``. Under supervision
+    (``state['supervised']``) an injected hang really wedges and an
+    injected crash really kills the worker: it does not get to report
+    its own death, the pipe EOF *is* the report, exactly as for a real
+    segfault. Unsupervised, both are ordinary failures
+    (``allow_hang=False``), which the campaign retries.
+    """
+    vp_index, _label, attempt = task
+    supervised = state["supervised"]
+    try:
+        return run_vp_attempt(
+            state["scenario"],
+            state["vps"][vp_index],
+            attempt,
+            state["plan"],
+            state["targets"],
+            state["position"],
+            state["order"],
+            state["slots"],
+            state["pps"],
+            state["horizon"],
+            heartbeat=heartbeat,
+            allow_hang=supervised,
+        )
+    except InjectedCrash:
+        if not supervised:
+            raise
+        os._exit(_CRASH_EXIT_STATUS)
+
+
+def run_tasks_inline(
+    body: Callable, state: dict, tasks: List[tuple]
+) -> Dict[object, Tuple[object, str, Optional[str]]]:
+    """Run ``tasks`` through ``body`` in this process.
+
+    The in-process counterpart of :meth:`WorkerWatchdog.run_tasks`,
+    with the same ``{key: (rows_or_None, kind, error_or_None)}``
+    result; ``kind`` can only be ``ok`` or ``failed`` here. Telemetry
+    lands in the parent registry directly.
+    """
+    outcomes: Dict[object, Tuple[object, str, Optional[str]]] = {}
+    for task in tasks:
+        try:
+            outcomes[task[0]] = (body(state, task), "ok", None)
+        except Exception as exc:  # noqa: BLE001 — the caller retries
+            outcomes[task[0]] = (
+                None, "failed", f"{type(exc).__name__}: {exc}"
+            )
+    return outcomes
+
+
+def _worker_main(payload, conn, heartbeat_value, progress_value) -> None:
+    """Long-lived worker loop: recv task, run the body, send result.
+
+    Every task is a tuple ``(key, label, ...)`` that the payload's
+    ``task_body(state, task, heartbeat) -> rows`` interprets; every
+    result is ``(key, rows, snapshot, options_load, error, spans,
+    journal)``.
+
+    The heartbeat slot is bumped when a task is picked up, at the
+    first and every :data:`~repro.obs.journal.JOURNAL_PROGRESS_EVERY`-th
+    destination during the probe (via the body's heartbeat hook), and
+    once more just before the (potentially large) result send — so a
+    worker blocked handing bytes to a busy parent is never mistaken
+    for a hung one. The progress slot beside it holds the task's
+    destination count, updated per destination, so the parent knows
+    how far a worker got even when it has to kill it.
+
+    Flight recording: task start, first destination, every
+    :data:`~repro.obs.journal.JOURNAL_PROGRESS_EVERY`-th destination,
+    and task end are journalled into a :class:`FlightRecorder`. Task
+    start and first destination are flushed at once as tagged
+    ``("journal", key, events)`` messages, so the parent holds them
+    before a worker can wedge; the rest ride home with the result and
+    never wake the parent mid-task.
+    """
+    state = _init_worker(payload)
     scenario = state["scenario"]
-    # The campaign payload carries a fault plan and a VP table; generic
-    # payloads (the multi-tenant service) instead carry ``task_body``,
-    # a module-level callable ``(state, task, heartbeat) -> rows`` that
-    # interprets its own task tuples ``(key, label, ...)``.
-    plan: Optional[FaultPlan] = state.get("plan")
-    body = state.get("task_body")
+    body = state["task_body"]
     recorder = FlightRecorder()
     flushed_seq = 0
+    clock = time.monotonic
 
-    def beat() -> None:
-        heartbeat_value.value = time.monotonic()
-
-    def flush_journal(vp_index: int, attempt: int) -> None:
+    def flush_journal(key) -> None:
         nonlocal flushed_seq
-        delta = recorder.since(flushed_seq)
-        if not delta:
-            return
         try:
-            conn.send(("journal", vp_index, attempt, delta))
-        except (OSError, BrokenPipeError):  # pragma: no cover
-            return  # parent gone; the recv below will notice
+            conn.send(("journal", key, recorder.since(flushed_seq)))
+        except OSError:  # pragma: no cover - parent gone
+            return  # the recv below will notice
         flushed_seq = recorder.last_seq
 
     while True:
         try:
-            message = conn.recv()
+            task = conn.recv()
         except (EOFError, OSError):  # parent went away
             return
-        if message is None:  # orderly shutdown
+        if task is None:  # orderly shutdown
             conn.close()
             return
-        if body is None:
-            vp_index, attempt = message
-            vp = state["vps"][vp_index]
-            label = vp.name
-            targets_total: Optional[int] = len(state["targets"])
-        else:
-            vp_index = message[0]
-            attempt = 1
-            label = str(message[1])
-            targets_total = None
-        beat()
+        key, label = task[0], str(task[1])
+        heartbeat_value.value = clock()
+        progress_value.value = 0
         REGISTRY.reset()
         TRACER.reset()
         scenario.network.options_load.clear()
-        recorder.record(
-            "task_start",
-            vp=label,
-            vp_index=vp_index,
-            attempt=attempt,
-            targets=targets_total,
-        )
-        flush_journal(vp_index, attempt)
+        recorder.record("task_start", vp=label, vp_index=key)
+        flush_journal(key)
         destinations = 0
 
         def task_beat() -> None:
             nonlocal destinations
-            beat()
             destinations += 1
+            progress_value.value = destinations
             if destinations == 1:
+                recorder.record("first_destination", vp=label)
+                flush_journal(key)
+            elif destinations % JOURNAL_PROGRESS_EVERY:
+                return
+            else:
                 recorder.record(
-                    "first_destination", vp=label, attempt=attempt
+                    "progress", vp=label, destinations=destinations
                 )
-                flush_journal(vp_index, attempt)
-            elif destinations % JOURNAL_PROGRESS_EVERY == 0:
-                recorder.record(
-                    "progress",
-                    vp=label,
-                    attempt=attempt,
-                    destinations=destinations,
-                )
-                flush_journal(vp_index, attempt)
+            # The clock is read with each journal event, not per
+            # destination: a read per destination costs a measurable
+            # share of a warm replay.
+            heartbeat_value.value = clock()
 
         error: Optional[str] = None
         rows = None
         try:
-            if body is None:
-                rows = run_vp_attempt(
-                    scenario,
-                    vp,
-                    attempt,
-                    plan,
-                    state["targets"],
-                    state["position"],
-                    state["order"],
-                    state["slots"],
-                    state["pps"],
-                    state["horizon"],
-                    heartbeat=task_beat,
-                    allow_hang=True,
-                )
-            else:
-                rows = body(state, message, task_beat)
-        except InjectedCrash:
-            # A crashing worker does not get to report its own death:
-            # the pipe EOF *is* the report, exactly as for a real
-            # segfault. (conn closes with the process.) The journal
-            # events flushed before the crash are already parent-side.
-            conn.close()
-            os._exit(_CRASH_EXIT_STATUS)
+            rows = body(state, task, task_beat)
         except Exception as exc:  # noqa: BLE001 — shipped to the parent
             error = f"{type(exc).__name__}: {exc}"
-        from repro.core.parallel import _compact_snapshot
-
         recorder.record(
             "task_end",
             vp=label,
-            attempt=attempt,
             status="failed" if error else "ok",
             error=error,
             destinations=destinations,
         )
-        beat()  # about to block in send; still alive
+        heartbeat_value.value = clock()  # about to block in send
         conn.send(
             (
-                vp_index,
-                attempt,
+                key,
                 rows,
                 _compact_snapshot(REGISTRY.snapshot()),
                 dict(scenario.network.options_load),
@@ -733,30 +791,31 @@ def _supervised_worker_main(payload, conn, heartbeat_value) -> None:
 class _WorkerHandle:
     """Parent-side bookkeeping for one supervised worker process."""
 
-    __slots__ = ("process", "conn", "heartbeat", "task", "tries")
+    __slots__ = ("process", "conn", "heartbeat", "progress", "task",
+                 "tries")
 
-    def __init__(self, process, conn, heartbeat) -> None:
+    def __init__(self, process, conn, heartbeat, progress) -> None:
         self.process = process
         self.conn = conn
         self.heartbeat = heartbeat
-        self.task: Optional[Tuple[int, int]] = None  # (vp_index, attempt)
+        self.progress = progress  # destinations done in current task
+        self.task: Optional[tuple] = None  # (key, label, ...)
         self.tries = 0  # watchdog-level tries consumed by current task
 
 
 class WorkerWatchdog:
-    """A supervised pool: heartbeat monitoring, kill/respawn, re-queue.
+    """The process pool: heartbeat monitoring, kill/respawn, re-queue.
 
-    One instance persists across a campaign's retry rounds (workers
-    stay warm); :meth:`run_tasks` executes one round's worth of
-    ``(vp_index, attempt)`` tasks and reports per-VP outcomes:
+    One instance persists across a caller's rounds (workers stay
+    warm); :meth:`run_tasks` executes one round of ``(key, label,
+    ...)`` tasks through the payload's ``task_body`` and reports
+    ``{key: (rows_or_None, kind, error_or_None)}`` with ``kind`` one of
+    ``ok`` / ``failed`` / ``crash`` / ``hang``.
 
-    ``{vp_index: (rows_or_None, kind, error_or_None)}`` with ``kind``
-    one of ``ok`` / ``failed`` / ``crash`` / ``hang``.
-
-    Telemetry (metrics snapshots + per-AS options load) from
-    *successful and failed* attempts is merged into the parent in VP
-    index order — independent of completion order, like the
-    unsupervised pool. Killed attempts ship nothing.
+    Telemetry (metrics snapshots, per-AS options load, spans) from
+    *successful and failed* attempts is merged into the parent in key
+    order, independent of completion order. Killed attempts ship
+    nothing.
     """
 
     def __init__(
@@ -772,7 +831,12 @@ class WorkerWatchdog:
         if jobs < 1:
             raise ValueError(f"jobs must be positive: {jobs}")
         self.scenario = scenario
-        self.payload = payload
+        self.payload = dict(
+            payload,
+            params=scenario.params,
+            spans=TRACER.enabled,
+            batch=scenario.prober.batching,
+        )
         self.jobs = int(jobs)
         self.config = config
         self._ctx = multiprocessing.get_context()
@@ -786,41 +850,39 @@ class WorkerWatchdog:
         self._workers: List[_WorkerHandle] = []
         self.hangs_detected = 0
         self.workers_respawned = 0
-        #: Per-VP flight-recorder mirror: the last
+        #: Per-task flight-recorder mirror: the last
         #: :data:`~repro.obs.journal.DEFAULT_JOURNAL_CAPACITY` journal
-        #: events each VP's workers flushed over their pipes, plus
-        #: synthetic ``watchdog_kill`` entries the parent adds when it
-        #: kills a worker. Survives :meth:`close` — quarantine
-        #: manifests read it after the pool is gone.
-        self.journals: Dict[int, deque] = {}
-        #: Task-key → display label. Campaign payloads label tasks by
-        #: VP name; generic payloads (``task_body``) put the label in
-        #: ``task[1]``. Populated as tasks are submitted.
+        #: events each task key's workers sent home, plus synthetic
+        #: ``watchdog_kill`` entries the parent adds when it kills a
+        #: worker. Survives :meth:`close` — quarantine manifests read
+        #: it after the pool is gone.
+        self.journals: Dict[object, deque] = {}
+        #: Task key → display label (``task[1]``), recorded as tasks
+        #: are submitted.
         self._labels: Dict[object, str] = {}
         #: Optional per-poll observer ``callback(watchdog)`` — the
         #: campaign's live status publisher hooks in here.
         self.on_poll: Optional[Callable[["WorkerWatchdog"], None]] = None
 
-    def _task_label(self, task: tuple) -> str:
-        vps = self.payload.get("vps")
-        if self.payload.get("task_body") is None and vps is not None:
-            return vps[task[0]].name
-        return str(task[1]) if len(task) > 1 else str(task[0])
-
     # -- lifecycle ---------------------------------------------------------
 
     def _spawn_worker(self) -> _WorkerHandle:
+        global _PARENT_SCENARIO
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         heartbeat = self._ctx.Value("d", time.monotonic(), lock=False)
-        with parent_scenario(self.scenario):
-            process = self._ctx.Process(
-                target=_supervised_worker_main,
-                args=(self.payload, child_conn, heartbeat),
-                daemon=True,
-            )
+        progress = self._ctx.Value("q", 0, lock=False)
+        process = self._ctx.Process(
+            target=_worker_main,
+            args=(self.payload, child_conn, heartbeat, progress),
+            daemon=True,
+        )
+        _PARENT_SCENARIO = self.scenario
+        try:
             process.start()
+        finally:
+            _PARENT_SCENARIO = None
         child_conn.close()  # our copy; the worker holds the live end
-        return _WorkerHandle(process, parent_conn, heartbeat)
+        return _WorkerHandle(process, parent_conn, heartbeat, progress)
 
     def _kill_worker(self, handle: _WorkerHandle) -> None:
         try:
@@ -851,7 +913,7 @@ class WorkerWatchdog:
         for handle in self._workers:
             try:
                 handle.conn.send(None)
-            except (OSError, BrokenPipeError):
+            except OSError:
                 pass
         for handle in self._workers:
             handle.process.join(timeout=2.0)
@@ -866,19 +928,17 @@ class WorkerWatchdog:
 
     # -- flight recorder / liveness views ----------------------------------
 
-    def _store_journal(self, vp_index: int, events: List[dict]) -> None:
-        store = self.journals.get(vp_index)
+    def _store_journal(self, key, events: List[dict]) -> None:
+        store = self.journals.get(key)
         if store is None:
             store = deque(maxlen=DEFAULT_JOURNAL_CAPACITY)
-            self.journals[vp_index] = store
+            self.journals[key] = store
         store.extend(events)
 
-    def journal_tail(
-        self, vp_index: int, n: Optional[int] = None
-    ) -> List[dict]:
-        """The last ``n`` (default all kept) journal events for a VP —
-        what the quarantine manifest embeds as the post-mortem."""
-        store = self.journals.get(vp_index)
+    def journal_tail(self, key, n: Optional[int] = None) -> List[dict]:
+        """The last ``n`` (default all kept) journal events for a task
+        key — what the quarantine manifest embeds as the post-mortem."""
+        store = self.journals.get(key)
         if not store:
             return []
         events = list(store)
@@ -888,7 +948,7 @@ class WorkerWatchdog:
 
     def journals_by_name(self) -> Dict[str, List[dict]]:
         """``{task_label: events}`` for every task with journal history
-        (VP names for campaign payloads)."""
+        (VP names for campaign tasks)."""
         return {
             self._labels.get(key, str(key)): [
                 dict(event) for event in store
@@ -911,16 +971,14 @@ class WorkerWatchdog:
     # -- execution ---------------------------------------------------------
 
     def run_tasks(
-        self, tasks: List[Tuple[int, int]]
-    ) -> Dict[int, Tuple[Optional[VPRows], str, Optional[str]]]:
-        """Execute one round of ``(vp_index, attempt)`` tasks."""
-        outcomes: Dict[
-            int, Tuple[Optional[VPRows], str, Optional[str]]
-        ] = {}
+        self, tasks: List[tuple]
+    ) -> Dict[object, Tuple[object, str, Optional[str]]]:
+        """Execute one round of ``(key, label, ...)`` tasks."""
+        outcomes: Dict[object, Tuple[object, str, Optional[str]]] = {}
         if not tasks:
             return outcomes
         for task in tasks:
-            self._labels[task[0]] = self._task_label(task)
+            self._labels[task[0]] = str(task[1])
         want = max(1, min(self.jobs, len(tasks)))
         while len(self._workers) < want:
             self._workers.append(self._spawn_worker())
@@ -942,7 +1000,7 @@ class WorkerWatchdog:
                 handle.heartbeat.value = time.monotonic()
                 try:
                     handle.conn.send(task)
-                except (OSError, BrokenPipeError):
+                except OSError:
                     # Died between tasks; revive and retry dispatch.
                     handle.task = None
                     handle.tries = 0
@@ -960,7 +1018,8 @@ class WorkerWatchdog:
             task = handle.task
             assert task is not None
             # The kill itself becomes the journal's final entry — the
-            # parent-side epilogue to whatever the worker last flushed.
+            # parent-side epilogue to whatever the worker last sent,
+            # with the destination count the worker last published.
             self._store_journal(
                 task[0],
                 [
@@ -970,7 +1029,7 @@ class WorkerWatchdog:
                         "kind": "watchdog_kill",
                         "reason": kind,
                         "detail": detail,
-                        "attempt": task[1],
+                        "destinations": handle.progress.value,
                     }
                 ],
             )
@@ -986,11 +1045,10 @@ class WorkerWatchdog:
                     fresh.conn.send(task)
                     in_flight += 1
                     return
-                except (OSError, BrokenPipeError):  # pragma: no cover
+                except OSError:  # pragma: no cover
                     fresh.task = None
                     fresh.tries = 0
-            vp_index = task[0]
-            outcomes[vp_index] = (None, kind, detail)
+            outcomes[task[0]] = (None, kind, detail)
 
         dispatch()
         while in_flight or queue:
@@ -1025,18 +1083,14 @@ class WorkerWatchdog:
                     )
                     continue
                 if message[0] == "journal":
-                    # Incremental flight-recorder flush; not a result.
-                    _tag, journal_vp, _attempt, events = message
-                    self._store_journal(journal_vp, events)
+                    # Eager flight-recorder flush; not a result.
+                    self._store_journal(message[1], message[2])
                     continue
+                key, rows, _snap, _load, error, _spans, journal = message
                 raw_results.append(message)
-                vp_index = message[0]
-                if message[7]:
-                    self._store_journal(vp_index, message[7])
-                outcomes[vp_index] = (
-                    message[2],
-                    "ok" if message[5] is None else "failed",
-                    message[5],
+                self._store_journal(key, journal)
+                outcomes[key] = (
+                    rows, "ok" if error is None else "failed", error
                 )
                 handle.task = None
                 handle.tries = 0
@@ -1060,22 +1114,12 @@ class WorkerWatchdog:
                 self.on_poll(self)
             dispatch()
 
-        # Merge telemetry in VP index order so parent totals are
-        # independent of completion order (the unsupervised pool's
-        # rule, preserved). Span buffers merge under the currently
-        # open span (the dispatching round).
+        # Merge telemetry in key order so parent totals are
+        # independent of completion order. Span buffers merge under the
+        # currently open span (the dispatching round).
         raw_results.sort(key=lambda item: item[0])
         options_load = self.scenario.network.options_load
-        for (
-            _vp,
-            _attempt,
-            _rows,
-            snapshot,
-            load_delta,
-            _err,
-            spans,
-            _journal,
-        ) in raw_results:
+        for _key, _rows, snapshot, load_delta, _err, spans, _j in raw_results:
             self._registry.merge(snapshot)
             TRACER.merge(spans)
             for asn, count in load_delta.items():

@@ -4,9 +4,9 @@ The measurement platform measuring itself. See DESIGN.md §"Observability"
 for how the dataplane, rate limiters, prober, and campaign layers
 report here, and ``python -m repro stats`` for the operator view.
 
-Import order matters: the leaf modules (``metrics``, ``spans``,
-``journal``, ``timing``, ``trace``) load before ``export`` and
-``status``, which reach back into :mod:`repro.probing.artifacts`.
+``export`` and ``status`` write through
+:mod:`repro.probing.artifacts`, but import it only when they write,
+so loading this package never loads the simulator.
 """
 
 from repro.obs.metrics import (

@@ -29,12 +29,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.obs.metrics import MetricsRegistry, REGISTRY
 from repro.obs.trace import TraceEvent
-from repro.probing.artifacts import (
-    atomic_write_text,
-    checksum_of,
-    embed_checksum,
-    split_checksum,
-)
+
+# ``repro.probing.artifacts`` is imported inside the writers below:
+# importing it here would load ``repro.probing`` (and through it the
+# simulator) whenever ``repro.obs`` loads, a cycle for anything under
+# ``repro.sim`` or ``repro.topology`` imported first.
 
 __all__ = [
     "to_jsonl",
@@ -177,6 +176,8 @@ def spans_to_jsonl(spans: Sequence[dict]) -> str:
 
 def write_spans_jsonl(path, spans: Sequence[dict]) -> None:
     """Atomically write :func:`spans_to_jsonl` output to ``path``."""
+    from repro.probing.artifacts import atomic_write_text
+
     text = spans_to_jsonl(spans)
     atomic_write_text(path, text + ("\n" if text else ""))
 
@@ -274,6 +275,8 @@ def to_chrome_trace(spans: Sequence[dict]) -> dict:
 
 def write_chrome_trace(path, spans: Sequence[dict]) -> None:
     """Atomically write :func:`to_chrome_trace` output to ``path``."""
+    from repro.probing.artifacts import atomic_write_text
+
     atomic_write_text(
         path, json.dumps(to_chrome_trace(spans), sort_keys=True) + "\n"
     )
@@ -344,6 +347,8 @@ def trace_events_to_jsonl(events: Iterable[TraceEvent]) -> str:
     trailer's own content digest — so a reader can detect both a
     corrupted body and a corrupted trailer.
     """
+    from repro.probing.artifacts import embed_checksum
+
     lines = [
         json.dumps(asdict(event), sort_keys=True, separators=(",", ":"))
         for event in events
@@ -366,6 +371,8 @@ def trace_events_to_jsonl(events: Iterable[TraceEvent]) -> str:
 
 def write_trace_jsonl(path, events: Iterable[TraceEvent]) -> None:
     """Atomically write :func:`trace_events_to_jsonl` to ``path``."""
+    from repro.probing.artifacts import atomic_write_text
+
     atomic_write_text(path, trace_events_to_jsonl(events) + "\n")
 
 
@@ -375,6 +382,8 @@ def load_trace_jsonl(path) -> List[TraceEvent]:
     Raises ``ValueError`` when the trailer is missing or malformed,
     when either digest mismatches, or when the event count disagrees.
     """
+    from repro.probing.artifacts import checksum_of, split_checksum
+
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line for line in handle.read().splitlines() if line]
     if not lines:

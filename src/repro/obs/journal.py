@@ -3,14 +3,16 @@
 When the :class:`~repro.faults.supervisor.WorkerWatchdog` kills a hung
 worker, the process's state dies with it — metrics show *that* it
 hung, never *what it was doing*. A :class:`FlightRecorder` fixes the
-post-mortem gap: supervised workers record coarse structured events
-(task start, periodic progress, task end) into a bounded ring and
-flush the new entries over the existing duplex supervisor pipe on a
-heartbeat cadence. The parent keeps the last
-:data:`DEFAULT_JOURNAL_CAPACITY` events per VP, so when a worker is
-killed for hanging or crashes outright, its final journal tail is
-already parent-side — and lands in the quarantine manifest as the
-black-box recording of the VP's last moments.
+post-mortem gap: pool workers record coarse structured events (task
+start, first destination, periodic progress, task end) into a bounded
+ring. Task start and first destination are flushed over the duplex
+worker pipe at once; the rest ship with the task's result. The parent
+keeps the last :data:`DEFAULT_JOURNAL_CAPACITY` events per task, so
+when a worker is killed for hanging or crashes outright, the start of
+its final task is already parent-side, and the watchdog's kill event
+adds how many destinations the worker had reached. The tail lands in
+the quarantine manifest as the black-box recording of the VP's last
+moments.
 
 Events are plain dicts (pickle- and JSON-friendly)::
 
@@ -18,7 +20,7 @@ Events are plain dicts (pickle- and JSON-friendly)::
 
 ``seq`` is monotonically increasing per recorder and survives ring
 truncation, so a reader can tell events were lost. Recording is a
-dict append into a ``deque`` — cheap enough for the supervised paths
+dict append into a ``deque`` — cheap enough for the pool paths
 it runs on (it is never on the per-probe hot path; progress events are
 recorded every :data:`JOURNAL_PROGRESS_EVERY` destinations).
 """
@@ -38,8 +40,10 @@ __all__ = [
 #: Ring capacity, worker-side and per-VP parent-side.
 DEFAULT_JOURNAL_CAPACITY = 256
 
-#: Destinations between periodic in-task progress events (and their
-#: piggybacked pipe flushes) in the supervised worker.
+#: Destinations between periodic in-task progress events in a pool
+#: worker. They stay in the worker's ring and ship with the task's
+#: result; only ``task_start`` and ``first_destination`` are flushed
+#: over the pipe at once.
 JOURNAL_PROGRESS_EVERY = 8
 
 

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.probing.artifacts import atomic_write_text
 
 __all__ = [
     "STATUS_VERSION",
@@ -133,6 +132,9 @@ class CampaignStatusWriter:
             ),
         }
         payload.update(fields)
+        # Imported here: see the note in ``repro.obs.export``.
+        from repro.probing.artifacts import atomic_write_text
+
         atomic_write_text(
             self.path,
             json.dumps(payload, indent=2, sort_keys=True) + "\n",

@@ -21,8 +21,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.survey import probe_vp_rr
-from repro.faults.supervisor import SupervisionConfig, WorkerWatchdog
-from repro.obs.spans import TRACER
+from repro.faults.supervisor import (
+    SupervisionConfig,
+    WorkerWatchdog,
+    run_tasks_inline,
+)
 from repro.probing.scheduler import ProbeOrder
 from repro.scenarios.internet import Scenario
 from repro.service.specs import PING_COUNT
@@ -117,14 +120,11 @@ class ServiceExecutor:
 
     def _pool(self) -> WorkerWatchdog:
         if self._watchdog is None:
-            payload = {
-                "params": self.scenario.params,
-                "task_body": service_unit_body,
-                "spans": TRACER.enabled,
-                "batch": self.scenario.prober.batching,
-            }
             self._watchdog = WorkerWatchdog(
-                self.scenario, payload, self.jobs, self.supervision
+                self.scenario,
+                {"task_body": service_unit_body},
+                self.jobs,
+                self.supervision,
             )
         return self._watchdog
 
@@ -154,19 +154,7 @@ class ServiceExecutor:
         if not tasks:
             return {}
         if self.jobs == 1:
-            outcomes: Dict[
-                int, Tuple[Optional[dict], str, Optional[str]]
-            ] = {}
-            state = {"scenario": self.scenario}
-            for task in tasks:
-                try:
-                    payload = service_unit_body(state, task)
-                    outcomes[task[0]] = (payload, "ok", None)
-                except Exception as exc:  # noqa: BLE001 — retried
-                    outcomes[task[0]] = (
-                        None,
-                        "failed",
-                        f"{type(exc).__name__}: {exc}",
-                    )
-            return outcomes
+            return run_tasks_inline(
+                service_unit_body, {"scenario": self.scenario}, tasks
+            )
         return self._pool().run_tasks(tasks)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
 import pickle
+import signal
 
 import pytest
 
@@ -39,6 +41,7 @@ from repro.faults import (
     VpChurn,
 )
 from repro.faults.campaign import load_checkpoint
+from repro.faults.supervisor import SupervisionConfig
 from repro.scenarios.faults import FAULT_PRESETS, build_fault_plan
 from repro.scenarios.presets import get_preset
 from repro.sim.rate_limiter import TokenBucket
@@ -499,6 +502,90 @@ class TestSurveyWorkerError:
         assert result.partial
         assert result.failed_vps == [victim]
         assert result.attempts[victim] == 2  # initial + 1 retry
+
+
+class TestWorkerDeath:
+    """A worker process that dies mid-task (``os._exit``) is reported,
+    never waited on. The alarm turns a pool that waits forever into a
+    failure instead of a hung suite."""
+
+    DEADLINE_SECONDS = 120
+
+    @pytest.fixture()
+    def deadline(self):
+        def expired(_signum, _frame):
+            raise TimeoutError("the pool never reported the dead worker")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(self.DEADLINE_SECONDS)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_survey_raises_naming_the_dead_vp(
+        self, monkeypatch, targets, deadline
+    ):
+        import repro.core.survey as survey_mod
+
+        world = get_preset("tiny", 13)
+        victim = world.vps[1].name
+        real = survey_mod.probe_vp_rr
+        parent = os.getpid()
+
+        def dying(scenario, vp, *args, **kwargs):
+            if vp.name == victim and os.getpid() != parent:
+                os._exit(7)
+            return real(scenario, vp, *args, **kwargs)
+
+        monkeypatch.setattr(survey_mod, "probe_vp_rr", dying)
+        with pytest.raises(SurveyWorkerError) as err:
+            run_rr_survey(
+                world, dests=targets[:5], vps=list(world.vps)[:3],
+                jobs=2,
+            )
+        assert err.value.name == victim
+        assert "died" in err.value.message
+
+    def test_unsupervised_campaign_retries_the_dead_vp(
+        self, monkeypatch, tmp_path, deadline
+    ):
+        """The victim's worker dies on every try of its first attempt
+        (the pool's in-round try budget), then heals: the campaign
+        retries it and the merged bytes equal a clean run's."""
+        import repro.faults.supervisor as supervisor_mod
+
+        def run(jobs):
+            world = get_preset("tiny", 13)
+            return CampaignRunner(world, jobs=jobs, max_retries=2).run(
+                targets=list(world.hitlist)[:10], vps=list(world.vps)[:3]
+            )
+
+        clean = _survey_bytes(run(1).survey, tmp_path, "clean.json")
+        victim = get_preset("tiny", 13).vps[1].name
+        deaths = tmp_path / "deaths"
+        deaths.mkdir()
+        tries = SupervisionConfig().task_tries
+        real = supervisor_mod.probe_vp_rr
+        parent = os.getpid()
+
+        def dying(scenario, vp, *args, **kwargs):
+            if (
+                vp.name == victim
+                and os.getpid() != parent
+                and len(list(deaths.iterdir())) < tries
+            ):
+                (deaths / str(os.getpid())).touch()
+                os._exit(7)
+            return real(scenario, vp, *args, **kwargs)
+
+        monkeypatch.setattr(supervisor_mod, "probe_vp_rr", dying)
+        result = run(2)
+        assert len(list(deaths.iterdir())) == tries
+        assert not result.partial
+        assert result.attempts[victim] == 2
+        assert _survey_bytes(result.survey, tmp_path, "pooled.json") == clean
 
 
 # ---------------------------------------------------------------------------

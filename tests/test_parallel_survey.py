@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.core.parallel import ParallelSurveyRunner, default_jobs
 from repro.core.survey import (
     load_survey,
     run_ping_survey,
@@ -178,13 +177,13 @@ class TestFaultedByteParity:
 
 
 class TestRunner:
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
-
     def test_rejects_nonpositive_jobs(self):
         scenario = get_preset("tiny", 2016)
-        with pytest.raises(ValueError):
-            ParallelSurveyRunner(scenario, jobs=0)
+        for jobs in (0, -3):
+            with pytest.raises(ValueError):
+                run_rr_survey(scenario, jobs=jobs)
+            with pytest.raises(ValueError):
+                run_ping_survey(scenario, jobs=jobs)
 
     def test_pool_never_exceeds_task_count(self):
         """jobs > #VPs still works (pool is clamped to the task count)."""

@@ -45,7 +45,11 @@ from repro.faults import (
     load_checkpoint,
     load_checkpoint_with_fallback,
 )
-from repro.faults.supervisor import InjectedHang, run_vp_attempt
+from repro.faults.supervisor import (
+    InjectedHang,
+    run_vp_attempt,
+    vp_attempt_body,
+)
 from repro.probing.artifacts import (
     CHECKSUM_KEY,
     atomic_write_text,
@@ -92,7 +96,8 @@ def _survey_bytes(survey, tmp_path, name):
 def _watchdog_payload(world, targets, vp_list, plan):
     position = {dest.addr: index for index, dest in enumerate(targets)}
     return {
-        "params": world.params,
+        "task_body": vp_attempt_body,
+        "supervised": True,
         "targets": targets,
         "position": position,
         "vps": vp_list,
@@ -102,6 +107,11 @@ def _watchdog_payload(world, targets, vp_list, plan):
         "plan": plan,
         "horizon": max(len(targets) / DEFAULT_PPS, 1e-9),
     }
+
+
+def _first_attempts(vp_list, indices):
+    """Campaign tasks ``(vp_index, vp_name, attempt)`` for attempt 1."""
+    return [(index, vp_list[index].name, 1) for index in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +279,7 @@ class TestWorkerWatchdog:
         config = SupervisionConfig(**FAST)
         payload = _watchdog_payload(world, targets, vp_list, plan)
         with WorkerWatchdog(world, payload, 2, config) as watchdog:
-            outcomes = watchdog.run_tasks([(i, 1) for i in range(3)])
+            outcomes = watchdog.run_tasks(_first_attempts(vp_list, range(3)))
         assert outcomes[1][1] == "hang"
         assert "no heartbeat" in outcomes[1][2]
         assert outcomes[0][1] == "ok" and outcomes[2][1] == "ok"
@@ -290,7 +300,9 @@ class TestWorkerWatchdog:
         config = SupervisionConfig(**{**FAST, "task_tries": 2})
         payload = _watchdog_payload(world, targets, vp_list, plan)
         with WorkerWatchdog(world, payload, 1, config) as watchdog:
-            outcomes = watchdog.run_tasks([(victim_index, 1)])
+            outcomes = watchdog.run_tasks(
+                _first_attempts(vp_list, [victim_index])
+            )
         assert outcomes[victim_index][1] == "hang"
         assert watchdog.hangs_detected == 2  # initial try + 1 re-queue
         assert watchdog.workers_respawned == 2
@@ -304,7 +316,7 @@ class TestWorkerWatchdog:
         config = SupervisionConfig(**FAST)
         payload = _watchdog_payload(world, targets, vp_list, plan)
         with WorkerWatchdog(world, payload, 2, config) as watchdog:
-            outcomes = watchdog.run_tasks([(i, 1) for i in range(4)])
+            outcomes = watchdog.run_tasks(_first_attempts(vp_list, range(4)))
         assert outcomes[2][1] == "crash"
         assert "died mid-task" in outcomes[2][2]
         healthy = [i for i in range(4) if i != 2]
