@@ -6,8 +6,10 @@ mechanisms exist to pay it down and this script records both:
 * ``serial``        — the in-process batched dataplane (``jobs=1``);
 * ``serial_legacy`` — the same campaign with ``prober.batching`` off,
   i.e. the per-hop packet walk the stamp-plan replay engine replaces;
-* ``pool_jobs1``    — the worker pool with a single worker (measures
-  the pool's fixed overhead: fork, payload pickling, snapshot merging);
+* ``pool_jobs1``    — the worker pool with a single worker, forked
+  warm like ``run_rr_survey``'s pool (routing trees built first), so
+  its gap to ``serial`` is the pool's own overhead: fork, IPC,
+  snapshot merging;
 * ``pool_jobsN``    — the pool at ``--jobs`` workers.
 
 Each configuration probes a **fresh scenario** (cold caches) so the
@@ -49,6 +51,7 @@ from repro.core.survey import (
     run_rr_survey,
     save_survey,
 )
+from repro.faults.supervisor import warm_routing_trees
 from repro.obs.metrics import REGISTRY
 from repro.probing.prober import DEFAULT_PPS
 from repro.probing.scheduler import ProbeOrder
@@ -101,9 +104,12 @@ def _time_rr(
         start = time.perf_counter()
         if force_pool and jobs == 1:
             # run_rr_survey routes jobs=1 to the serial loop; drive the
-            # pool directly to expose its fixed overhead.
+            # pool directly, warmed the same way, to expose its fixed
+            # overhead.
+            warm_routing_trees(scenario, targets, vps)
             payload = {
                 "task_body": rr_task_body,
+                "affinity": {i: vp.asn for i, vp in enumerate(vps)},
                 "targets": targets,
                 "position": {d.addr: i for i, d in enumerate(targets)},
                 "vps": vps,
@@ -288,6 +294,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(f"  speedup jobs={args.jobs} vs serial: {speedup:.2f}x",
           flush=True)
+    # Pool time over serial time, one line per study: the ping phase's
+    # pool cost stays visible instead of hiding in the total.
+    ratios = {}
+    for study in ("rr", "ping"):
+        serial_s = timings[f"{study}_serial"]
+        pool_s = timings[f"{study}_pool_jobs{args.jobs}"]
+        ratios[study] = pool_s / serial_s if serial_s else 0.0
+        print(
+            f"  {study:<4} pool jobs={args.jobs} / serial: "
+            f"{pool_s:.3f}s / {serial_s:.3f}s = {ratios[study]:.2f}",
+            flush=True,
+        )
     batch_speedup = (
         timings["rr_serial_legacy"] / timings["rr_serial"]
         if timings["rr_serial"] else 0.0
@@ -319,6 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "probes_per_sec": probes_per_sec,
         "timings_seconds": timings,
         "speedup_pool_vs_serial": speedup,
+        "ratio_pool_vs_serial": ratios,
         "speedup_batched_vs_legacy": batch_speedup,
         "parity_byte_identical": identical,
         "parity_batched_vs_legacy": batch_identical,

@@ -30,6 +30,23 @@ task's metrics snapshot, options-load delta and spans back into the
 parent in key order, so ``repro stats`` totals after a parallel survey
 look exactly like a serial run's. A worker that dies or hangs is
 reported, never waited on forever.
+
+Warm fork, per-worker remainder. The one cache every task reads in
+full is the routing-tree LRU: a VP's walk needs the tree of every
+destination AS and, for the replies, of its own AS. Before a pooled
+call opens the watchdog,
+:func:`~repro.faults.supervisor.warm_routing_trees` builds those trees
+once in the parent, so forked workers inherit them copy-on-write
+instead of each recomputing all of them. What stays per worker is
+keyed by ingress AS: AS trunks, segment plans, FlowPrograms and
+round-trip stamp plans. To compile each of those once, the caller
+maps every task key to its VP's ASN (``payload["affinity"]``) and the
+watchdog keeps each such group on one worker: an idle worker takes
+the next task of the group it last ran, else claims the largest group
+no other worker holds, else steals from a held group so no worker
+sits idle. Under the ``spawn`` start method workers rebuild the
+scenario and start cold; results are the same either way, only
+slower.
 """
 
 from __future__ import annotations

@@ -667,7 +667,9 @@ def run_ping_survey(
         with timed("ping_survey"):
             if jobs >= 2 and len(targets) > 1:
                 from repro.core.parallel import run_pooled_tasks
+                from repro.faults.supervisor import warm_routing_trees
 
+                warm_routing_trees(scenario, targets, [scenario.origin])
                 shards = split_round_robin(
                     targets, min(PING_SHARDS, len(targets))
                 )
@@ -738,9 +740,14 @@ def run_rr_survey(
         with timed("rr_survey"):
             if jobs >= 2 and len(vp_list) > 1:
                 from repro.core.parallel import run_pooled_tasks
+                from repro.faults.supervisor import warm_routing_trees
 
+                warm_routing_trees(scenario, targets, vp_list)
                 payload = {
                     "task_body": rr_task_body,
+                    "affinity": {
+                        i: vp.asn for i, vp in enumerate(vp_list)
+                    },
                     "targets": targets,
                     "position": position,
                     "vps": vp_list,

@@ -54,6 +54,7 @@ from repro.faults.supervisor import (
     WorkerWatchdog,
     run_tasks_inline,
     vp_attempt_body,
+    warm_routing_trees,
 )
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.spans import TRACER
@@ -593,6 +594,7 @@ class CampaignRunner:
         supervised = self.supervision is not None
         payload = {
             "task_body": vp_attempt_body,
+            "affinity": {i: vp.asn for i, vp in enumerate(vp_list)},
             "targets": target_list,
             "position": position,
             "vps": vp_list,
@@ -610,6 +612,7 @@ class CampaignRunner:
                 self.supervision, scenario.network.net_id
             )
         if supervised or self.jobs >= 2:
+            warm_routing_trees(scenario, target_list, vp_list)
             watchdog = WorkerWatchdog(
                 scenario,
                 payload,

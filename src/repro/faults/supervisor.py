@@ -56,8 +56,9 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from multiprocessing.connection import wait as _mp_wait
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.survey import VPRows, probe_vp_rr
 from repro.faults.injector import FaultInjector
@@ -87,6 +88,7 @@ __all__ = [
     "run_tasks_inline",
     "run_vp_attempt",
     "vp_attempt_body",
+    "warm_routing_trees",
     "supervisor_hang_counter",
     "supervisor_crash_counter",
     "supervisor_respawn_counter",
@@ -591,6 +593,25 @@ _PARENT_SCENARIO: Optional[Scenario] = None
 _CRASH_EXIT_STATUS = 13
 
 
+def warm_routing_trees(
+    scenario: Scenario, dests: Iterable, sources: Iterable
+) -> None:
+    """Build the routing trees a fan-out over ``dests`` will read.
+
+    Probes from ``sources`` (VPs, or the origin) read the tree of each
+    destination's AS on the way out and the tree of their own AS on
+    the way back. Sources go first, so a set larger than the tree
+    LRU's capacity keeps the trees every task shares. Call it before
+    the pool forks; trees are value-deterministic, so warming changes
+    speed, never results.
+    """
+    asns = dict.fromkeys(source.asn for source in sources)
+    asns.update(dict.fromkeys(dest.asn for dest in dests))
+    routing = scenario.network.routing
+    for asn in islice(asns, routing.cache_size):
+        routing.routing_tree(asn)
+
+
 def _init_worker(payload: dict) -> dict:
     """The state every task body reads: ``payload`` plus the scenario."""
     scenario = _PARENT_SCENARIO
@@ -792,7 +813,7 @@ class _WorkerHandle:
     """Parent-side bookkeeping for one supervised worker process."""
 
     __slots__ = ("process", "conn", "heartbeat", "progress", "task",
-                 "tries")
+                 "tries", "group")
 
     def __init__(self, process, conn, heartbeat, progress) -> None:
         self.process = process
@@ -801,6 +822,56 @@ class _WorkerHandle:
         self.progress = progress  # destinations done in current task
         self.task: Optional[tuple] = None  # (key, label, ...)
         self.tries = 0  # watchdog-level tries consumed by current task
+        self.group: object = None  # affinity group of the last task
+
+
+class _AffinityQueue:
+    """Queued tasks, grouped by affinity, each group in submission order.
+
+    ``affinity`` maps a task key to its group (the pooled surveys and
+    the campaign use the VP's ASN, the key of the per-worker plan
+    caches); a key it does not map is a group of its own, which makes
+    the queue plain FIFO.
+    """
+
+    def __init__(self, tasks: List[tuple], affinity: Dict) -> None:
+        self._affinity = affinity
+        self._groups: Dict[object, deque] = {}
+        for task in tasks:
+            self._groups.setdefault(self._group_of(task), deque()).append(
+                task
+            )
+
+    def __bool__(self) -> bool:
+        return bool(self._groups)
+
+    def _group_of(self, task: tuple) -> object:
+        return self._affinity.get(task[0], task[0])
+
+    def pop(self, last: object, held: set) -> Tuple[tuple, object]:
+        """``(task, group)`` for a worker that last ran group ``last``
+        while other workers hold the groups in ``held``.
+
+        The worker stays on ``last`` while it has queued tasks, else
+        claims the largest group nobody holds (ties go to the earliest
+        submitted), else steals from the largest held group, so no
+        worker sits idle while tasks are queued.
+        """
+        groups = self._groups
+        if last not in groups:
+            free = [group for group in groups if group not in held]
+            last = max(free or groups, key=lambda group: len(groups[group]))
+        queue = groups[last]
+        task = queue.popleft()
+        if not queue:
+            del groups[last]
+        return task, last
+
+    def push_front(self, task: tuple) -> None:
+        """Put back a task that could not be sent."""
+        self._groups.setdefault(self._group_of(task), deque()).appendleft(
+            task
+        )
 
 
 class WorkerWatchdog:
@@ -811,6 +882,11 @@ class WorkerWatchdog:
     ...)`` tasks through the payload's ``task_body`` and reports
     ``{key: (rows_or_None, kind, error_or_None)}`` with ``kind`` one of
     ``ok`` / ``failed`` / ``crash`` / ``hang``.
+
+    Dispatch follows ``payload["affinity"]`` (task key → group, see
+    :class:`_AffinityQueue`): each worker keeps to one group while it
+    has queued tasks, so per-worker caches keyed by the group are
+    built once. Without the map, tasks go out in submission order.
 
     Telemetry (metrics snapshots, per-AS options load, spans) from
     *successful and failed* attempts is merged into the parent in key
@@ -983,7 +1059,7 @@ class WorkerWatchdog:
         while len(self._workers) < want:
             self._workers.append(self._spawn_worker())
 
-        queue: deque = deque(tasks)
+        queue = _AffinityQueue(tasks, self.payload.get("affinity", {}))
         raw_results: List[tuple] = []
         in_flight = 0
 
@@ -994,7 +1070,12 @@ class WorkerWatchdog:
                     return
                 if handle.task is not None:
                     continue
-                task = queue.popleft()
+                held = {
+                    other.group
+                    for other in self._workers
+                    if other is not handle
+                }
+                task, handle.group = queue.pop(handle.group, held)
                 handle.task = task
                 handle.tries += 1
                 handle.heartbeat.value = time.monotonic()
@@ -1004,7 +1085,7 @@ class WorkerWatchdog:
                     # Died between tasks; revive and retry dispatch.
                     handle.task = None
                     handle.tries = 0
-                    queue.appendleft(task)
+                    queue.push_front(task)
                     self._respawn(handle)
                     return
                 in_flight += 1
@@ -1039,6 +1120,7 @@ class WorkerWatchdog:
             fresh = self._respawn(handle)
             if tries < self.config.task_tries:
                 fresh.tries = tries + 1  # budget follows the task
+                fresh.group = handle.group
                 fresh.task = task
                 fresh.heartbeat.value = time.monotonic()
                 try:

@@ -84,6 +84,11 @@ class RoutingSystem:
         """Number of routing trees currently cached."""
         return len(self._trees)
 
+    @property
+    def cache_size(self) -> int:
+        """Capacity of the routing-tree LRU."""
+        return self._cache_size
+
     # -- routing trees -----------------------------------------------------
 
     def routing_tree(self, dest: int) -> Dict[int, RouteInfo]:

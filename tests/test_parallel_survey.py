@@ -20,6 +20,8 @@ from repro.core.survey import (
     run_rr_survey,
     save_survey,
 )
+from repro.faults.supervisor import warm_routing_trees
+from repro.obs.metrics import REGISTRY
 from repro.probing.prober import _MX_CACHE_MAX
 from repro.scenarios.internet import Scenario
 from repro.scenarios.presets import get_preset
@@ -192,6 +194,65 @@ class TestRunner:
         vps = list(scenario.vps)[:2]
         survey = run_rr_survey(scenario, dests=targets, vps=vps, jobs=8)
         assert len(survey.vps) == 2
+
+
+def _cache_work() -> dict:
+    """Routing-tree misses and plan compiles so far, over the parent
+    and every worker folded into it."""
+    snap = REGISTRY.snapshot()
+    return {
+        "tree_misses": sum(
+            series["value"]
+            for series in snap["routing_tree_cache_lookups_total"]["series"]
+            if series["labels"]["result"] == "miss"
+        ),
+        "compiles": sum(
+            series["value"]
+            for series in snap["plan_compiles_total"]["series"]
+        ),
+    }
+
+
+def _study_cache_work(jobs: int):
+    """An RR then a ping survey on a fresh mid world (100 VPs in 8
+    ASes): the world, its targets and the cache work both did."""
+    scenario = get_preset("mid", 2016)
+    targets = list(scenario.hitlist)[:STUDY_DESTS]
+    before = _cache_work()
+    run_rr_survey(scenario, dests=targets, jobs=jobs)
+    run_ping_survey(scenario, dests=targets, jobs=jobs)
+    after = _cache_work()
+    work = {name: after[name] - before[name] for name in after}
+    return scenario, targets, work
+
+
+STUDY_DESTS = 60
+
+
+class TestWarmPool:
+    """The pool forks with the routing trees built and keeps each
+    ingress AS on one worker, so pooled cache work stays near the
+    serial run's. Dispatching in submission order hands both workers
+    all 8 ASes: ~2.1x the serial plan compiles."""
+
+    def test_each_tree_built_once_and_compiles_bounded(self):
+        scenario, targets, serial = _study_cache_work(jobs=1)
+        # The parent builds every VP AS's tree before the fork, also
+        # those no reply ever reads (a VP whose RR probes never leave
+        # its AS); the serial run skips them. Warming the serial world
+        # afterwards counts them.
+        before = _cache_work()["tree_misses"]
+        warm_routing_trees(
+            scenario, targets, list(scenario.vps) + [scenario.origin]
+        )
+        unread = _cache_work()["tree_misses"] - before
+        assert unread <= len({vp.asn for vp in scenario.vps})
+        _scenario, _targets, pooled = _study_cache_work(jobs=2)
+        assert serial["tree_misses"] > 0
+        assert pooled["tree_misses"] == serial["tree_misses"] + unread
+        assert pooled["compiles"] < 1.5 * serial["compiles"], (
+            pooled, serial
+        )
 
 
 class TestGzipPersistence:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -328,6 +329,60 @@ class TestWorkerWatchdog:
         )
         with pytest.raises(ValueError):
             WorkerWatchdog(world, payload, 0, SupervisionConfig())
+
+
+def _pid_body(state, task, heartbeat=None):
+    """Report which worker ran ``task``: its pid.
+
+    ``state["barrier"]``, if set, makes the two workers run their tasks
+    in lockstep, so which worker drains its group first never depends
+    on scheduling. ``state["die_once"] = (key, marker)`` kills the
+    worker running ``key`` the first time (the marker file records it).
+    """
+    barrier = state.get("barrier")
+    if barrier is not None:
+        barrier.wait(timeout=60)
+    die_once = state.get("die_once")
+    if die_once is not None and task[0] == die_once[0]:
+        if not os.path.exists(die_once[1]):
+            open(die_once[1], "w").close()
+            os._exit(13)
+    return os.getpid()
+
+
+class TestAffinityDispatch:
+    """12 tasks in 4 affinity groups, interleaved in submission order,
+    on 2 workers."""
+
+    AFFINITY = {key: f"as{key % 4}" for key in range(12)}
+    TASKS = [(key, f"task-{key}") for key in range(12)]
+
+    def _run(self, world, **state):
+        payload = dict(state, task_body=_pid_body, affinity=self.AFFINITY)
+        with WorkerWatchdog(world, payload, 2, SupervisionConfig()) as pool:
+            return pool.run_tasks(list(self.TASKS))
+
+    def test_each_group_runs_on_one_worker(self, world):
+        barrier = multiprocessing.get_context().Barrier(2)
+        outcomes = self._run(world, barrier=barrier)
+        assert all(kind == "ok" for _pid, kind, _err in outcomes.values())
+        pids = {}
+        for key, (pid, _kind, _err) in outcomes.items():
+            pids.setdefault(self.AFFINITY[key], set()).add(pid)
+        assert sorted(pids) == ["as0", "as1", "as2", "as3"]
+        assert all(len(group) == 1 for group in pids.values()), pids
+        assert len(set().union(*pids.values())) == 2
+
+    def test_killed_worker_mid_group_changes_only_pids(
+        self, world, tmp_path
+    ):
+        clean = self._run(world)
+        marker = tmp_path / "died"
+        killed = self._run(world, die_once=(5, str(marker)))
+        assert marker.exists()
+        assert {key: outcome[1:] for key, outcome in killed.items()} == {
+            key: outcome[1:] for key, outcome in clean.items()
+        }
 
 
 # ---------------------------------------------------------------------------
