@@ -6,10 +6,10 @@ mechanisms exist to pay it down and this script records both:
 * ``serial``        — the in-process batched dataplane (``jobs=1``);
 * ``serial_legacy`` — the same campaign with ``prober.batching`` off,
   i.e. the per-hop packet walk the stamp-plan replay engine replaces;
-* ``pool_jobs1``    — the worker pool with a single worker, forked
-  warm like ``run_rr_survey``'s pool (routing trees built first), so
-  its gap to ``serial`` is the pool's own overhead: fork, IPC,
-  snapshot merging;
+* ``pool_jobs1``    — the same tasks on a supervised watchdog with a
+  single worker process (supervision makes it fork at ``jobs=1``; it
+  builds the routing trees first, like any pool), so its gap to
+  ``serial`` is the pool's own overhead: fork, IPC, snapshot merging;
 * ``pool_jobsN``    — the pool at ``--jobs`` workers.
 
 Each configuration probes a **fresh scenario** (cold caches) so the
@@ -44,14 +44,12 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.parallel import run_pooled_tasks
-from repro.core.survey import (
-    rr_task_body,
-    run_ping_survey,
-    run_rr_survey,
-    save_survey,
+from repro.core.survey import run_ping_survey, run_rr_survey, save_survey
+from repro.faults.supervisor import (
+    SupervisionConfig,
+    WorkerWatchdog,
+    vp_attempt_payload,
 )
-from repro.faults.supervisor import warm_routing_trees
 from repro.obs.metrics import REGISTRY
 from repro.probing.prober import DEFAULT_PPS
 from repro.probing.scheduler import ProbeOrder
@@ -103,23 +101,17 @@ def _time_rr(
             profiler.enable()
         start = time.perf_counter()
         if force_pool and jobs == 1:
-            # run_rr_survey routes jobs=1 to the serial loop; drive the
-            # pool directly, warmed the same way, to expose its fixed
-            # overhead.
-            warm_routing_trees(scenario, targets, vps)
-            payload = {
-                "task_body": rr_task_body,
-                "affinity": {i: vp.asn for i, vp in enumerate(vps)},
-                "targets": targets,
-                "position": {d.addr: i for i, d in enumerate(targets)},
-                "vps": vps,
-                "order": ProbeOrder.RANDOM,
-                "slots": 9,
-                "pps": DEFAULT_PPS,
-                "validate": True,
-            }
-            tasks = [(i, vp.name) for i, vp in enumerate(vps)]
-            run_pooled_tasks(scenario, payload, tasks, 1, "rr")
+            # run_rr_survey runs jobs=1 in process; a supervised
+            # watchdog forks one worker for the same tasks, exposing
+            # the pool's fixed overhead.
+            payload = vp_attempt_payload(
+                targets, vps, ProbeOrder.RANDOM, 9, DEFAULT_PPS
+            )
+            tasks = [(i, vp.name, 1) for i, vp in enumerate(vps)]
+            with WorkerWatchdog(
+                scenario, payload, 1, SupervisionConfig()
+            ) as pool:
+                pool.run_tasks(tasks)
         else:
             survey = run_rr_survey(scenario, dests=targets, vps=vps,
                                    jobs=jobs)

@@ -19,41 +19,49 @@ tested byte-for-byte in ``tests/test_parallel_survey.py``):
   routing trees, forward-path expansions — is value-deterministic, so
   warm caches change speed, never results.
 
-Under those rules the serial loop and any worker pool produce the same
-rows, and ``save_survey`` output is byte-identical for any ``jobs``.
+Under those rules every placement produces the same rows, and
+``save_survey`` output is byte-identical for any ``jobs``.
 
-The pool is :class:`~repro.faults.supervisor.WorkerWatchdog`, the one
-process pool every fan-out in the repo runs on. The survey bodies are
-:func:`~repro.core.survey.rr_task_body` and
-:func:`~repro.core.survey.ping_task_body`; the watchdog folds each
-task's metrics snapshot, options-load delta and spans back into the
-parent in key order, so ``repro stats`` totals after a parallel survey
-look exactly like a serial run's. A worker that dies or hangs is
-reported, never waited on forever.
+One runner. :class:`~repro.faults.supervisor.WorkerWatchdog` runs
+every fan-out in the repo at every ``jobs``; ``jobs`` only picks
+where the tasks run. Processes are used only for ``jobs >= 2`` or
+supervision: a ``jobs=1`` watchdog with no ``SupervisionConfig`` runs
+the same task bodies in the calling process, so serial and pooled
+runs share one code path. There are three bodies:
+:func:`~repro.faults.supervisor.vp_attempt_body` (one VP's RR
+attempt: the RR survey submits attempt 1 of each VP with an empty
+fault plan, the campaign adds faults and retries),
+:func:`~repro.core.survey.ping_task_body` (one of the
+:data:`~repro.core.survey.PING_SHARDS` origin ping shards) and
+:func:`~repro.service.executor.service_unit_body`. A pooled watchdog
+folds each task's metrics snapshot, options-load delta and spans
+back into the parent in key order, so ``repro stats`` totals after a
+parallel survey look exactly like a serial run's. A worker that dies
+or hangs is reported, never waited on forever.
 
 Warm fork, per-worker remainder. The one cache every task reads in
 full is the routing-tree LRU: a VP's walk needs the tree of every
-destination AS and, for the replies, of its own AS. Before a pooled
-call opens the watchdog,
-:func:`~repro.faults.supervisor.warm_routing_trees` builds those trees
-once in the parent, so forked workers inherit them copy-on-write
-instead of each recomputing all of them. What stays per worker is
-keyed by ingress AS: AS trunks, segment plans, FlowPrograms and
-round-trip stamp plans. To compile each of those once, the caller
-maps every task key to its VP's ASN (``payload["affinity"]``) and the
-watchdog keeps each such group on one worker: an idle worker takes
-the next task of the group it last ran, else claims the largest group
-no other worker holds, else steals from a held group so no worker
-sits idle. Under the ``spawn`` start method workers rebuild the
-scenario and start cold; results are the same either way, only
-slower.
+destination AS and, for the replies, of its own AS. Just before its
+first fork the watchdog calls
+:func:`~repro.faults.supervisor.warm_routing_trees` on the payload's
+``targets`` and ``vps``, so forked workers inherit those trees
+copy-on-write instead of each recomputing all of them; in-process
+runs never warm. What stays per worker is keyed by ingress AS: AS
+trunks, segment plans, FlowPrograms and round-trip stamp plans. To
+compile each of those once, the payload maps every task key to its
+VP's ASN (``payload["affinity"]``) and the watchdog keeps each such
+group on one worker: an idle worker takes the next task of the group
+it last ran, else claims the largest group no other worker holds,
+else steals from a held group so no worker sits idle. Under the
+``spawn`` start method workers rebuild the scenario and start cold;
+results are the same either way, only slower.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.faults.supervisor import SupervisionConfig, WorkerWatchdog
+from repro.faults.supervisor import WorkerWatchdog
 from repro.scenarios.internet import Scenario
 
 __all__ = ["SurveyWorkerError", "run_pooled_tasks"]
@@ -94,16 +102,18 @@ def run_pooled_tasks(
     jobs: int,
     kind: str,
 ) -> List:
-    """Run ``(index, label)`` tasks on a pool of ``jobs`` workers.
+    """Run ``(index, label, ...)`` tasks at ``jobs`` (1: in process).
 
-    ``payload`` carries the ``task_body`` and the state it reads.
+    ``payload`` carries the ``task_body`` and the state it reads; a
+    pool runs on :class:`~repro.faults.supervisor.SupervisionConfig`
+    defaults.
     Returns each task's rows in index order. Raises
     :class:`SurveyWorkerError` for the first task, in index order,
     that did not end ``ok``: the body raised, or its worker died or
     hung.
     """
     tasks = list(tasks)
-    with WorkerWatchdog(scenario, payload, jobs, SupervisionConfig()) as pool:
+    with WorkerWatchdog(scenario, payload, jobs) as pool:
         outcomes = pool.run_tasks(tasks)
     results = []
     for index, label in sorted(task[:2] for task in tasks):

@@ -59,8 +59,8 @@ __all__ = [
     "PingSurvey",
     "RRSurvey",
     "SurveyFormatError",
+    "ping_in_session",
     "ping_task_body",
-    "rr_task_body",
     "run_ping_survey",
     "run_rr_survey",
     "save_survey",
@@ -86,9 +86,9 @@ class SurveyFormatError(ValueError):
     def __str__(self) -> str:
         return f"{self.path}: {self.reason}"
 
-#: Fixed shard count for the parallel ping survey. Destinations are
-#: dealt round-robin into this many shards regardless of ``jobs``, so
-#: any ``jobs >= 2`` run produces identical results (each shard is one
+#: Fixed shard count for the ping survey. Destinations are dealt
+#: round-robin into this many shards regardless of ``jobs``, so every
+#: ``jobs`` produces identical results (each shard is one
 #: deterministic loss-stream session; see DESIGN.md).
 PING_SHARDS = 8
 
@@ -422,8 +422,8 @@ def probe_vp_rr(
     destination walk runs inside its own deterministic probe session
     (fresh token buckets, a per-VP loss stream seeded from
     ``(seed, vp.name)``), so the result rows are byte-identical whether
-    this executes in the serial loop or in a worker process — the
-    engine's determinism contract (see DESIGN.md).
+    this executes in the calling process or in a worker — the engine's
+    determinism contract (see DESIGN.md).
 
     ``heartbeat``, if given, is invoked once per destination *before*
     the probe is issued — the supervision layer's per-task progress
@@ -570,75 +570,60 @@ def probe_vp_rr(
     return rows, packed, quality
 
 
-def probe_ping_shard(
+def ping_in_session(
     scenario: Scenario,
-    shard_index: int,
+    source: VantagePoint,
+    session: str,
     targets: Sequence[Destination],
     count: int = 3,
     pps: float = DEFAULT_PPS,
     heartbeat: Optional[Callable[[], None]] = None,
-) -> List[Tuple[int, bool]]:
-    """One fixed shard of the origin plain-ping study.
+) -> list:
+    """Plain-ping ``targets`` from ``source`` in probe session
+    ``session``; one result per target, in order.
 
-    Sharding uses :data:`PING_SHARDS` deterministic loss-stream
-    sessions regardless of worker count, so any parallel degree yields
-    the same survey. ``heartbeat`` is the per-destination progress
-    hook, as for :func:`probe_vp_rr`.
+    The ping unit of work the survey's shards and the service's ping
+    units share. The session (``Network.begin_vp_session``) seeds the
+    loss stream from its name, so the results depend on the name and
+    the targets, never on what ran before. ``heartbeat`` is the
+    per-destination progress hook, as for :func:`probe_vp_rr`.
     """
-    origin = scenario.origin
-    assert origin is not None
     network = scenario.network
-    network.begin_vp_session(f"{origin.name}/ping-shard-{shard_index}")
+    network.begin_vp_session(session)
     try:
         with TRACER.span(
-            "ping_shard", clock=network.clock,
-            shard=shard_index, targets=len(targets),
+            "ping_session", clock=network.clock,
+            session=session, targets=len(targets),
         ):
-            results = scenario.prober.probe_batch_ping(
-                origin, list(targets), count=count, pps=pps,
+            return scenario.prober.probe_batch_ping(
+                source, list(targets), count=count, pps=pps,
                 heartbeat=heartbeat,
             )
-            out = [
-                (dest.addr, result.responded)
-                for dest, result in zip(targets, results)
-            ]
     finally:
         network.end_vp_session()
-    return out
-
-
-def rr_task_body(
-    state: dict, task: tuple, heartbeat: Optional[Callable[[], None]] = None
-) -> VPRows:
-    """The pooled RR survey's task body: ``task`` is ``(vp_index,
-    vp_name)``; ``state`` is the payload :func:`run_rr_survey` builds."""
-    return probe_vp_rr(
-        state["scenario"],
-        state["vps"][task[0]],
-        state["targets"],
-        state["position"],
-        order=state["order"],
-        slots=state["slots"],
-        pps=state["pps"],
-        heartbeat=heartbeat,
-        validate=state["validate"],
-    )
 
 
 def ping_task_body(
     state: dict, task: tuple, heartbeat: Optional[Callable[[], None]] = None
 ) -> List[Tuple[int, bool]]:
-    """The pooled ping survey's task body: ``task`` is
-    ``(shard_index, label)``."""
+    """The ping survey's task body: ``task`` is ``(shard_index,
+    label)``; the shard runs in session ``{origin}/ping-shard-{i}``."""
     shard_index = task[0]
-    return probe_ping_shard(
+    origin = state["vps"][0]
+    shard = state["shards"][shard_index]
+    results = ping_in_session(
         state["scenario"],
-        shard_index,
-        state["shards"][shard_index],
+        origin,
+        f"{origin.name}/ping-shard-{shard_index}",
+        shard,
         count=state["count"],
         pps=state["pps"],
         heartbeat=heartbeat,
     )
+    return [
+        (dest.addr, result.responded)
+        for dest, result in zip(shard, results)
+    ]
 
 
 def run_ping_survey(
@@ -650,46 +635,35 @@ def run_ping_survey(
 ) -> PingSurvey:
     """The origin-host plain-ping study (§3.1's second study).
 
-    ``jobs >= 2`` fans :data:`PING_SHARDS` destination shards out
-    across a process pool; any parallel degree produces identical
-    results (per-shard loss sessions). ``jobs=1`` is the serial path.
+    Destinations are dealt into :data:`PING_SHARDS` shards, each pinged
+    in its own loss session, and the shards run at ``jobs`` (1: in
+    process), so every ``jobs`` produces identical results.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive: {jobs}")
+    from repro.core.parallel import run_pooled_tasks
+
     if scenario.origin is None:
         raise ValueError("scenario has no origin vantage point")
     targets = list(scenario.hitlist) if dests is None else list(dests)
     survey = PingSurvey(origin_name=scenario.origin.name)
+    shards = split_round_robin(targets, PING_SHARDS)
+    payload = {
+        "task_body": ping_task_body,
+        "targets": targets,
+        "vps": [scenario.origin],
+        "shards": shards,
+        "count": count,
+        "pps": pps,
+    }
+    tasks = [(i, f"shard-{i}") for i, shard in enumerate(shards) if shard]
     with TRACER.span(
         "ping_survey", clock=scenario.network.clock,
         targets=len(targets), jobs=jobs,
     ):
         with timed("ping_survey"):
-            if jobs >= 2 and len(targets) > 1:
-                from repro.core.parallel import run_pooled_tasks
-                from repro.faults.supervisor import warm_routing_trees
-
-                warm_routing_trees(scenario, targets, [scenario.origin])
-                shards = split_round_robin(
-                    targets, min(PING_SHARDS, len(targets))
-                )
-                payload = {
-                    "task_body": ping_task_body,
-                    "shards": shards,
-                    "count": count,
-                    "pps": pps,
-                }
-                tasks = [(i, f"shard-{i}") for i in range(len(shards))]
-                for rows in run_pooled_tasks(
-                    scenario, payload, tasks, jobs, "ping"
-                ):
-                    survey.responsive.update(rows)
-                return survey
-            results = scenario.prober.probe_batch_ping(
-                scenario.origin, targets, count=count, pps=pps
-            )
-            for dest, result in zip(targets, results):
-                survey.responsive[dest.addr] = result.responded
+            for rows in run_pooled_tasks(
+                scenario, payload, tasks, jobs, "ping"
+            ):
+                survey.responsive.update(rows)
     return survey
 
 
@@ -709,20 +683,22 @@ def run_rr_survey(
     answer, as in the real study) probes every destination once, in
     its own random order, at ``pps``.
 
-    ``jobs`` controls per-VP process fan-out: ``jobs=1`` (default)
-    runs the serial path in-process; ``jobs >= 2`` shards one VP's
-    full probe sequence per worker task and merges the compact result
-    rows plus each worker's metrics-registry snapshot back into the
-    parent. Both paths run each VP inside the same deterministic probe
-    session, so the resulting :func:`save_survey` JSON is
-    **byte-identical** for any ``jobs`` value on the same seed.
+    The survey is an empty-plan, zero-retry campaign: attempt 1 of
+    each VP runs through
+    :func:`~repro.faults.supervisor.vp_attempt_body`, one task per VP,
+    at ``jobs`` (1: in process; ``jobs >= 2``: worker processes whose
+    rows and metrics fold back into the parent). Each VP runs inside
+    its own deterministic probe session, so the resulting
+    :func:`save_survey` JSON is **byte-identical** for any ``jobs``
+    value on the same seed.
 
     ``validate=False`` skips the reply-validation pass entirely — the
     benchmark baseline for the validation-overhead gate. On a clean
     network the survey bytes are identical either way.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive: {jobs}")
+    from repro.core.parallel import run_pooled_tasks
+    from repro.faults.supervisor import vp_attempt_payload
+
     targets = list(scenario.hitlist) if dests is None else list(dests)
     vp_list = list(scenario.vps) if vps is None else list(vps)
     survey = RRSurvey(
@@ -732,43 +708,16 @@ def run_rr_survey(
         inprefix_addrs=[set() for _ in targets],
         rr_slots=slots,
     )
-    position = {dest.addr: index for index, dest in enumerate(targets)}
+    payload = vp_attempt_payload(
+        targets, vp_list, order, slots, pps, validate=validate
+    )
+    tasks = [(i, vp.name, 1) for i, vp in enumerate(vp_list)]
     with TRACER.span(
         "rr_survey", clock=scenario.network.clock,
         vps=len(vp_list), targets=len(targets), jobs=jobs,
     ):
         with timed("rr_survey"):
-            if jobs >= 2 and len(vp_list) > 1:
-                from repro.core.parallel import run_pooled_tasks
-                from repro.faults.supervisor import warm_routing_trees
-
-                warm_routing_trees(scenario, targets, vp_list)
-                payload = {
-                    "task_body": rr_task_body,
-                    "affinity": {
-                        i: vp.asn for i, vp in enumerate(vp_list)
-                    },
-                    "targets": targets,
-                    "position": position,
-                    "vps": vp_list,
-                    "order": order,
-                    "slots": slots,
-                    "pps": pps,
-                    "validate": validate,
-                }
-                tasks = [(i, vp.name) for i, vp in enumerate(vp_list)]
-                per_vp = run_pooled_tasks(
-                    scenario, payload, tasks, jobs, "rr"
-                )
-            else:
-                per_vp = [
-                    probe_vp_rr(
-                        scenario, vp, targets, position,
-                        order=order, slots=slots, pps=pps,
-                        validate=validate,
-                    )
-                    for vp in vp_list
-                ]
+            per_vp = run_pooled_tasks(scenario, payload, tasks, jobs, "rr")
         # Merge in VP order so per-destination dict insertion order (and
         # therefore the persisted JSON) is independent of completion
         # order.

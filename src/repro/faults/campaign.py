@@ -52,9 +52,7 @@ from repro.faults.supervisor import (
     SupervisionConfig,
     VpHealthTracker,
     WorkerWatchdog,
-    run_tasks_inline,
-    vp_attempt_body,
-    warm_routing_trees,
+    vp_attempt_payload,
 )
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.spans import TRACER
@@ -168,8 +166,8 @@ class CampaignResult:
     #: :func:`repro.probing.validation.empty_quality`).
     quality: dict = field(default_factory=empty_quality)
     quarantine_sidecar: Optional[str] = None
-    #: Per-VP flight-recorder history from the pooled run (empty for
-    #: in-process runs). Not part of :meth:`manifest` — quarantine reasons
+    #: Per-VP flight-recorder history from the worker processes (empty
+    #: for in-process runs). Not part of :meth:`manifest` — quarantine reasons
     #: embed their own journal tails; the full map is the
     #: ``--journal-output`` artifact.
     journals: Dict[str, List[dict]] = field(default_factory=dict)
@@ -323,12 +321,13 @@ def load_checkpoint_with_fallback(
 class CampaignRunner:
     """Drives a fault-tolerant, resumable all-VPs RR campaign.
 
-    Runs the same per-VP unit of work as the pooled survey, through
+    Runs the same per-VP unit of work as the survey, through
     :func:`~repro.faults.supervisor.vp_attempt_body`, adding the
     retry/backoff/budget/checkpoint machinery described in the module
-    docstring. ``jobs >= 2`` (or supervision) runs rounds on one
-    :class:`~repro.faults.supervisor.WorkerWatchdog` kept warm across
-    rounds; unsupervised ``jobs=1`` runs them in-process.
+    docstring. Every round runs on one
+    :class:`~repro.faults.supervisor.WorkerWatchdog` kept across
+    rounds: worker processes for ``jobs >= 2`` or supervision, this
+    process for unsupervised ``jobs=1``.
 
     Determinism: because each VP session is self-contained and every
     fault decision keys off ``(plan seed, vp name, session time)``,
@@ -539,10 +538,6 @@ class CampaignRunner:
             list(scenario.hitlist) if targets is None else list(targets)
         )
         vp_list = list(scenario.vps) if vps is None else list(vps)
-        position = {
-            dest.addr: index for index, dest in enumerate(target_list)
-        }
-        horizon = max(len(target_list) / self.pps, 1e-9)
         fingerprint = self.fingerprint(target_list, vp_list)
 
         completed: Dict[str, VPRows] = {}
@@ -587,38 +582,24 @@ class CampaignRunner:
         killed: Optional[CampaignInterrupted] = None
 
         # Supervision (opt-in): a health tracker making quarantine and
-        # breaker decisions in the parent. Pooled rounds (jobs >= 2, or
-        # any supervised run) share one persistent watchdog; without
-        # supervision it runs on default settings and injected
-        # hangs/crashes stay ordinary failures.
+        # breaker decisions in the parent. All rounds share one
+        # watchdog; without supervision injected hangs/crashes stay
+        # ordinary failures.
         supervised = self.supervision is not None
-        payload = {
-            "task_body": vp_attempt_body,
-            "affinity": {i: vp.asn for i, vp in enumerate(vp_list)},
-            "targets": target_list,
-            "position": position,
-            "vps": vp_list,
-            "order": self.order,
-            "slots": self.slots,
-            "pps": self.pps,
-            "plan": self.plan,
-            "horizon": horizon,
-            "supervised": supervised,
-        }
         tracker: Optional[VpHealthTracker] = None
-        watchdog: Optional[WorkerWatchdog] = None
         if supervised:
             tracker = VpHealthTracker(
                 self.supervision, scenario.network.net_id
             )
-        if supervised or self.jobs >= 2:
-            warm_routing_trees(scenario, target_list, vp_list)
-            watchdog = WorkerWatchdog(
-                scenario,
-                payload,
-                self.jobs,
-                self.supervision or SupervisionConfig(),
-            )
+        watchdog = WorkerWatchdog(
+            scenario,
+            vp_attempt_payload(
+                target_list, vp_list, self.order, self.slots, self.pps,
+                self.plan, supervised=supervised,
+            ),
+            self.jobs,
+            self.supervision,
+        )
 
         # Live status: atomically published snapshots any observer
         # (``repro top``) can poll mid-run. Reads only parent-side
@@ -665,10 +646,9 @@ class CampaignRunner:
                 }
             status.update(state, force=force, **fields)
 
-        if watchdog is not None:
-            watchdog.on_poll = lambda wd: publish(
-                "running", heartbeat_ages=wd.heartbeat_ages()
-            )
+        watchdog.on_poll = lambda wd: publish(
+            "running", heartbeat_ages=wd.heartbeat_ages()
+        )
 
         _OUTCOME_COUNTERS = {
             "failed": self._attempts_failed,
@@ -755,14 +735,7 @@ class CampaignRunner:
                     for index in runnable
                 ]
                 try:
-                    if watchdog is not None:
-                        outcomes = watchdog.run_tasks(tasks)
-                    else:
-                        outcomes = run_tasks_inline(
-                            vp_attempt_body,
-                            dict(payload, scenario=scenario),
-                            tasks,
-                        )
+                    outcomes = watchdog.run_tasks(tasks)
                     still_pending: List[int] = []
                     for index in pending:
                         name = vp_list[index].name
@@ -820,17 +793,16 @@ class CampaignRunner:
                                 reason = tracker.record(name, kind)
                             if reason is None:
                                 still_pending.append(index)
-                            elif watchdog is not None:
-                                # Quarantined: embed the poisoned VP's
-                                # flight-recorder tail as the
-                                # post-mortem. The reason dict is the
-                                # object the tracker stores, so the
-                                # manifest sees the journal too.
+                            else:
+                                # Quarantined: drops out of pending.
+                                # Embed the poisoned VP's flight-
+                                # recorder tail as the post-mortem. The
+                                # reason dict is the object the tracker
+                                # stores, so the manifest sees the
+                                # journal too.
                                 reason["last_journal"] = (
                                     watchdog.journal_tail(index, 32)
                                 )
-                            # else: quarantined — drops out of pending;
-                            # the reason is recorded in the tracker.
                     if killed is not None:
                         raise killed
                 finally:
@@ -844,8 +816,7 @@ class CampaignRunner:
                 pending = still_pending
                 round_index += 1
         finally:
-            if watchdog is not None:
-                watchdog.close()
+            watchdog.close()
             TRACER.end(
                 campaign_span,
                 status="interrupted" if killed is not None else None,
@@ -904,18 +875,12 @@ class CampaignRunner:
             breaker_states=(
                 {} if tracker is None else tracker.breaker_states()
             ),
-            hangs_detected=(
-                0 if watchdog is None else watchdog.hangs_detected
-            ),
-            workers_respawned=(
-                0 if watchdog is None else watchdog.workers_respawned
-            ),
+            hangs_detected=watchdog.hangs_detected,
+            workers_respawned=watchdog.workers_respawned,
             checkpoint_repairs=checkpoint_repairs,
             quality=quality_total,
             quarantine_sidecar=sidecar,
-            journals=(
-                {} if watchdog is None else watchdog.journals_by_name()
-            ),
+            journals=watchdog.journals_by_name(),
         )
 
     def _write_quarantine_sidecar(

@@ -1,7 +1,9 @@
-"""The process pool and its supervision.
+"""The task runner, its process pool and its supervision.
 
-Every pooled fan-out in the repo (the survey studies, campaign rounds,
-service units) runs on :class:`WorkerWatchdog`. The campaign runner
+Every fan-out in the repo (the survey studies, campaign rounds,
+service units) runs on :class:`WorkerWatchdog`, at any ``jobs``: in
+this process for ``jobs=1`` without supervision, on worker processes
+otherwise. The campaign runner
 retries *failures* — tasks that die with an exception. Real
 measurement platforms face two nastier pathologies ("A Day in the
 Life of RIPE Atlas"): workers that *wedge* — still alive, never
@@ -85,9 +87,9 @@ __all__ = [
     "WorkerWatchdog",
     "InjectedHang",
     "InjectedCrash",
-    "run_tasks_inline",
     "run_vp_attempt",
     "vp_attempt_body",
+    "vp_attempt_payload",
     "warm_routing_trees",
     "supervisor_hang_counter",
     "supervisor_crash_counter",
@@ -303,6 +305,7 @@ def run_vp_attempt(
     horizon: float,
     heartbeat: Optional[Callable[[], None]] = None,
     allow_hang: bool = True,
+    validate: bool = True,
 ) -> VPRows:
     """One VP campaign attempt with faults (incl. hang/crash) injected.
 
@@ -313,7 +316,8 @@ def run_vp_attempt(
 
     ``allow_hang=False`` converts an armed hang into an immediate
     :class:`InjectedHang` — the honest stand-in for "stuck forever" in
-    contexts with no watchdog to recover the worker.
+    contexts with no watchdog to recover the worker. ``validate`` is
+    :func:`~repro.core.survey.probe_vp_rr`'s reply-validation switch.
     """
     network = scenario.network
     with TRACER.span(
@@ -344,6 +348,7 @@ def run_vp_attempt(
                 slots=slots,
                 pps=pps,
                 heartbeat=beat,
+                validate=validate,
             )
         finally:
             if injector is not None:
@@ -601,9 +606,9 @@ def warm_routing_trees(
     Probes from ``sources`` (VPs, or the origin) read the tree of each
     destination's AS on the way out and the tree of their own AS on
     the way back. Sources go first, so a set larger than the tree
-    LRU's capacity keeps the trees every task shares. Call it before
-    the pool forks; trees are value-deterministic, so warming changes
-    speed, never results.
+    LRU's capacity keeps the trees every task shares.
+    :class:`WorkerWatchdog` calls it just before its first fork; trees
+    are value-deterministic, so warming changes speed, never results.
     """
     asns = dict.fromkeys(source.asn for source in sources)
     asns.update(dict.fromkeys(dest.asn for dest in dests))
@@ -649,12 +654,47 @@ def _compact_snapshot(snapshot: Dict[str, dict]) -> Dict[str, dict]:
     return out
 
 
+def vp_attempt_payload(
+    targets: List,
+    vps: List,
+    order,
+    slots: int,
+    pps: float,
+    plan: Optional[FaultPlan] = None,
+    supervised: bool = False,
+    validate: bool = True,
+) -> dict:
+    """The payload :func:`vp_attempt_body` reads.
+
+    The RR survey (an empty ``plan``) and the campaign build it here
+    alike. Task keys are VP indices, grouped by the VP's ASN for
+    dispatch (see :class:`_AffinityQueue`); ``targets`` and ``vps``
+    are also what :class:`WorkerWatchdog` warms before it forks.
+    """
+    return {
+        "task_body": vp_attempt_body,
+        "affinity": {index: vp.asn for index, vp in enumerate(vps)},
+        "targets": targets,
+        "position": {dest.addr: index for index, dest in enumerate(targets)},
+        "vps": vps,
+        "order": order,
+        "slots": slots,
+        "pps": pps,
+        "plan": FaultPlan(seed=0) if plan is None else plan,
+        "horizon": max(len(targets) / pps, 1e-9),
+        "supervised": supervised,
+        "validate": validate,
+    }
+
+
 def vp_attempt_body(
     state: dict, task: tuple, heartbeat: Optional[Callable[[], None]] = None
 ) -> VPRows:
-    """The campaign's task body: one attempt of one VP.
+    """The RR task body: one attempt of one VP, for the survey and the
+    campaign alike.
 
-    ``task`` is ``(vp_index, vp_name, attempt)``. Under supervision
+    ``task`` is ``(vp_index, vp_name, attempt)``; ``state`` is a
+    :func:`vp_attempt_payload` plus the scenario. Under supervision
     (``state['supervised']``) an injected hang really wedges and an
     injected crash really kills the worker: it does not get to report
     its own death, the pipe EOF *is* the report, exactly as for a real
@@ -677,6 +717,7 @@ def vp_attempt_body(
             state["horizon"],
             heartbeat=heartbeat,
             allow_hang=supervised,
+            validate=state["validate"],
         )
     except InjectedCrash:
         if not supervised:
@@ -684,25 +725,15 @@ def vp_attempt_body(
         os._exit(_CRASH_EXIT_STATUS)
 
 
-def run_tasks_inline(
-    body: Callable, state: dict, tasks: List[tuple]
-) -> Dict[object, Tuple[object, str, Optional[str]]]:
-    """Run ``tasks`` through ``body`` in this process.
-
-    The in-process counterpart of :meth:`WorkerWatchdog.run_tasks`,
-    with the same ``{key: (rows_or_None, kind, error_or_None)}``
-    result; ``kind`` can only be ``ok`` or ``failed`` here. Telemetry
-    lands in the parent registry directly.
-    """
-    outcomes: Dict[object, Tuple[object, str, Optional[str]]] = {}
-    for task in tasks:
-        try:
-            outcomes[task[0]] = (body(state, task), "ok", None)
-        except Exception as exc:  # noqa: BLE001 — the caller retries
-            outcomes[task[0]] = (
-                None, "failed", f"{type(exc).__name__}: {exc}"
-            )
-    return outcomes
+def _call_body(
+    state: dict, task: tuple, heartbeat: Optional[Callable[[], None]]
+) -> Tuple[object, Optional[str]]:
+    """Run ``task`` through the payload's body: ``(rows, None)``, or
+    ``(None, error)`` if the body raised."""
+    try:
+        return state["task_body"](state, task, heartbeat), None
+    except Exception as exc:  # noqa: BLE001 — reported to the caller
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _worker_main(payload, conn, heartbeat_value, progress_value) -> None:
@@ -732,7 +763,6 @@ def _worker_main(payload, conn, heartbeat_value, progress_value) -> None:
     """
     state = _init_worker(payload)
     scenario = state["scenario"]
-    body = state["task_body"]
     recorder = FlightRecorder()
     flushed_seq = 0
     clock = time.monotonic
@@ -781,12 +811,7 @@ def _worker_main(payload, conn, heartbeat_value, progress_value) -> None:
             # share of a warm replay.
             heartbeat_value.value = clock()
 
-        error: Optional[str] = None
-        rows = None
-        try:
-            rows = body(state, task, task_beat)
-        except Exception as exc:  # noqa: BLE001 — shipped to the parent
-            error = f"{type(exc).__name__}: {exc}"
+        rows, error = _call_body(state, task, task_beat)
         recorder.record(
             "task_end",
             vp=label,
@@ -875,13 +900,23 @@ class _AffinityQueue:
 
 
 class WorkerWatchdog:
-    """The process pool: heartbeat monitoring, kill/respawn, re-queue.
+    """The task runner: in process, or a pool with heartbeat
+    monitoring, kill/respawn and re-queue.
 
     One instance persists across a caller's rounds (workers stay
     warm); :meth:`run_tasks` executes one round of ``(key, label,
     ...)`` tasks through the payload's ``task_body`` and reports
     ``{key: (rows_or_None, kind, error_or_None)}`` with ``kind`` one of
     ``ok`` / ``failed`` / ``crash`` / ``hang``.
+
+    Placement: ``jobs=1`` with ``config=None`` runs every task in this
+    process, through the same body, with no heartbeat hook; telemetry
+    lands in the registry directly and only ``ok`` / ``failed`` can
+    occur. Otherwise tasks run on ``jobs`` worker processes, supervised
+    by ``config`` (``None``: :class:`SupervisionConfig` defaults). Just
+    before its first fork the watchdog builds the routing trees of the
+    payload's ``targets`` and ``vps`` (:func:`warm_routing_trees`), so
+    every worker inherits them; in-process runs never warm.
 
     Dispatch follows ``payload["affinity"]`` (task key → group, see
     :class:`_AffinityQueue`): each worker keeps to one group while it
@@ -899,7 +934,7 @@ class WorkerWatchdog:
         scenario,
         payload: dict,
         jobs: int,
-        config: SupervisionConfig,
+        config: Optional[SupervisionConfig] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         import multiprocessing
@@ -914,7 +949,9 @@ class WorkerWatchdog:
             batch=scenario.prober.batching,
         )
         self.jobs = int(jobs)
-        self.config = config
+        self._in_process = self.jobs == 1 and config is None
+        self.config = SupervisionConfig() if config is None else config
+        self._warmed = False
         self._ctx = multiprocessing.get_context()
         registry = REGISTRY if registry is None else registry
         self._registry = registry
@@ -1055,6 +1092,21 @@ class WorkerWatchdog:
             return outcomes
         for task in tasks:
             self._labels[task[0]] = str(task[1])
+        if self._in_process:
+            state = dict(self.payload, scenario=self.scenario)
+            for task in tasks:
+                rows, error = _call_body(state, task, None)
+                outcomes[task[0]] = (
+                    rows, "ok" if error is None else "failed", error
+                )
+            return outcomes
+        if not self._warmed:
+            warm_routing_trees(
+                self.scenario,
+                self.payload.get("targets", ()),
+                self.payload.get("vps", ()),
+            )
+            self._warmed = True
         want = max(1, min(self.jobs, len(tasks)))
         while len(self._workers) < want:
             self._workers.append(self._spawn_worker())

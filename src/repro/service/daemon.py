@@ -7,8 +7,8 @@ tenants. Its run loop is round-based and deterministic end to end:
    per-tenant circuit breakers one round;
 2. plan a fair-share batch of units (:class:`CreditScheduler`) —
    pure state, no clocks;
-3. execute the batch (:class:`ServiceExecutor`: in-process for
-   ``jobs=1``, persistent supervised watchdog pool for ``jobs>=2``);
+3. execute the batch (:class:`ServiceExecutor`: one watchdog, in
+   process for unsupervised ``jobs=1``, else a persistent pool);
 4. fold outcomes **in plan order** (never completion order): charge
    credits, append stream records, advance spec state, checkpoint,
    publish status.

@@ -5,13 +5,16 @@ A unit task is a picklable tuple
     ``(key, label, vp_name, kind, target_offset, target_count,
        slots, pps)``
 
-interpreted by :func:`service_unit_body` — the generic ``task_body``
-the generalized :class:`~repro.faults.supervisor.WorkerWatchdog`
-runs: resolve the VP and hitlist slice worker-side (both are fixed by
-the scenario, so tasks stay tiny on the pipe), then run the exact
-deterministic per-VP probe session the survey engine uses. ``jobs=1``
-runs the same body in-process; ``jobs>=2`` keeps a persistent
-supervised pool warm across scheduler rounds, which is what a
+interpreted by :func:`service_unit_body`, one of the three task
+bodies :class:`~repro.faults.supervisor.WorkerWatchdog` runs: resolve
+the VP and hitlist slice where the task runs (both are fixed by the
+scenario, so tasks stay tiny on the pipe), then run the exact
+deterministic probe session the survey engine uses — an rr unit is
+:func:`~repro.core.survey.probe_vp_rr`, a ping unit is
+:func:`~repro.core.survey.ping_in_session` in session
+``{vp}/service-ping``. One watchdog serves every scheduler round:
+in this process for ``jobs=1`` without supervision, otherwise a
+persistent pool kept warm across rounds, which is what a
 long-running daemon wants (no per-round fork storm) and brings the
 watchdog's hang/crash recovery to every tenant for free.
 """
@@ -20,12 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.survey import probe_vp_rr
-from repro.faults.supervisor import (
-    SupervisionConfig,
-    WorkerWatchdog,
-    run_tasks_inline,
-)
+from repro.core.survey import ping_in_session, probe_vp_rr
+from repro.faults.supervisor import SupervisionConfig, WorkerWatchdog
 from repro.probing.scheduler import ProbeOrder
 from repro.scenarios.internet import Scenario
 from repro.service.specs import PING_COUNT
@@ -81,17 +80,13 @@ def service_unit_body(state: dict, task: tuple, heartbeat=None) -> dict:
                 "degraded": len(quality["degraded"]),
             },
         }
-    network = scenario.network
     # Ping units get their own session namespace so a tenant's ping
     # spec and an rr spec on the same VP draw independent (but each
     # deterministic) loss streams.
-    network.begin_vp_session(f"{vp.name}/service-ping")
-    try:
-        results = scenario.prober.probe_batch_ping(
-            vp, targets, count=PING_COUNT, pps=pps, heartbeat=heartbeat
-        )
-    finally:
-        network.end_vp_session()
+    results = ping_in_session(
+        scenario, vp, f"{vp.name}/service-ping", targets,
+        count=PING_COUNT, pps=pps, heartbeat=heartbeat,
+    )
     return {
         "rows": [
             [index, bool(result.responded)]
@@ -101,7 +96,7 @@ def service_unit_body(state: dict, task: tuple, heartbeat=None) -> dict:
 
 
 class ServiceExecutor:
-    """Runs one round's unit tasks, serially or on the watchdog pool."""
+    """Runs each round's unit tasks on one watchdog (see module doc)."""
 
     def __init__(
         self,
@@ -113,7 +108,7 @@ class ServiceExecutor:
             raise ValueError(f"jobs must be positive: {jobs}")
         self.scenario = scenario
         self.jobs = int(jobs)
-        self.supervision = supervision or SupervisionConfig()
+        self.supervision = supervision
         self._watchdog: Optional[WorkerWatchdog] = None
 
     # -- plumbing ----------------------------------------------------------
@@ -150,11 +145,7 @@ class ServiceExecutor:
     ) -> Dict[int, Tuple[Optional[dict], str, Optional[str]]]:
         """``{task_key: (payload_or_None, kind, error)}`` with ``kind``
         in ``{ok, failed, crash, hang}`` (the watchdog's vocabulary;
-        the serial path can only produce ``ok``/``failed``)."""
+        in process only ``ok``/``failed`` occur)."""
         if not tasks:
             return {}
-        if self.jobs == 1:
-            return run_tasks_inline(
-                service_unit_body, {"scenario": self.scenario}, tasks
-            )
         return self._pool().run_tasks(tasks)

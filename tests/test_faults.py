@@ -458,24 +458,26 @@ class TestSurveyWorkerError:
         assert clone.name == "mlab-nyc"
         assert "mlab-nyc" in str(clone)
 
-    def test_worker_failure_names_the_vp(self, monkeypatch, targets):
-        """A crash inside a forked worker arrives attributed."""
-        import repro.core.survey as survey_mod
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_failure_names_the_vp(self, monkeypatch, targets, jobs):
+        """A task failure arrives attributed, in process or in a
+        forked worker."""
+        import repro.faults.supervisor as supervisor_mod
 
         world = get_preset("tiny", 13)
         victim = world.vps[1].name
-        real = survey_mod.probe_vp_rr
+        real = supervisor_mod.probe_vp_rr
 
         def sabotaged(scenario, vp, *args, **kwargs):
             if vp.name == victim:
                 raise RuntimeError("synthetic probe failure")
             return real(scenario, vp, *args, **kwargs)
 
-        monkeypatch.setattr(survey_mod, "probe_vp_rr", sabotaged)
+        monkeypatch.setattr(supervisor_mod, "probe_vp_rr", sabotaged)
         with pytest.raises(SurveyWorkerError) as err:
             run_rr_survey(
                 world, dests=targets[:5], vps=list(world.vps)[:3],
-                jobs=2,
+                jobs=jobs,
             )
         assert err.value.name == victim
         assert "synthetic probe failure" in err.value.message
@@ -527,11 +529,11 @@ class TestWorkerDeath:
     def test_survey_raises_naming_the_dead_vp(
         self, monkeypatch, targets, deadline
     ):
-        import repro.core.survey as survey_mod
+        import repro.faults.supervisor as supervisor_mod
 
         world = get_preset("tiny", 13)
         victim = world.vps[1].name
-        real = survey_mod.probe_vp_rr
+        real = supervisor_mod.probe_vp_rr
         parent = os.getpid()
 
         def dying(scenario, vp, *args, **kwargs):
@@ -539,7 +541,7 @@ class TestWorkerDeath:
                 os._exit(7)
             return real(scenario, vp, *args, **kwargs)
 
-        monkeypatch.setattr(survey_mod, "probe_vp_rr", dying)
+        monkeypatch.setattr(supervisor_mod, "probe_vp_rr", dying)
         with pytest.raises(SurveyWorkerError) as err:
             run_rr_survey(
                 world, dests=targets[:5], vps=list(world.vps)[:3],

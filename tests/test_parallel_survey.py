@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.core.survey import (
 from repro.faults.supervisor import warm_routing_trees
 from repro.obs.metrics import REGISTRY
 from repro.probing.prober import _MX_CACHE_MAX
-from repro.scenarios.internet import Scenario
+from repro.scenarios.internet import Scenario, build_scenario
 from repro.scenarios.presets import get_preset
 
 #: Parity runs use a subset of the tiny world so the matrix of
@@ -62,10 +63,18 @@ class TestByteParity:
             2016, jobs=1
         )
 
-    def test_ping_survey_parallel_matches(self):
+    @pytest.mark.parametrize("loss_prob", [None, 0.3])
+    def test_ping_survey_parallel_matches(self, loss_prob):
+        """``loss_prob=0.3`` makes loss draws frequent enough that a
+        serial ping outside the shard sessions would diverge."""
         results = []
         for jobs in (1, 2, 4):
             scenario = get_preset("tiny", 2016)
+            if loss_prob is not None:
+                params = scenario.params
+                scenario = build_scenario(replace(
+                    params, sim=replace(params.sim, loss_prob=loss_prob)
+                ))
             targets = list(scenario.hitlist)[:N_DESTS]
             survey = run_ping_survey(scenario, dests=targets, jobs=jobs)
             results.append(survey.responsive)

@@ -49,7 +49,7 @@ from repro.faults import (
 from repro.faults.supervisor import (
     InjectedHang,
     run_vp_attempt,
-    vp_attempt_body,
+    vp_attempt_payload,
 )
 from repro.probing.artifacts import (
     CHECKSUM_KEY,
@@ -95,19 +95,10 @@ def _survey_bytes(survey, tmp_path, name):
 
 
 def _watchdog_payload(world, targets, vp_list, plan):
-    position = {dest.addr: index for index, dest in enumerate(targets)}
-    return {
-        "task_body": vp_attempt_body,
-        "supervised": True,
-        "targets": targets,
-        "position": position,
-        "vps": vp_list,
-        "order": ProbeOrder.RANDOM,
-        "slots": 9,
-        "pps": DEFAULT_PPS,
-        "plan": plan,
-        "horizon": max(len(targets) / DEFAULT_PPS, 1e-9),
-    }
+    return vp_attempt_payload(
+        targets, vp_list, ProbeOrder.RANDOM, 9, DEFAULT_PPS, plan,
+        supervised=True,
+    )
 
 
 def _first_attempts(vp_list, indices):
@@ -330,6 +321,36 @@ class TestWorkerWatchdog:
         with pytest.raises(ValueError):
             WorkerWatchdog(world, payload, 0, SupervisionConfig())
 
+    def test_unsupervised_jobs1_runs_in_process(self, world):
+        """``jobs=1`` without a config runs every task in this process,
+        and reports what a pool reports, pids aside."""
+        tasks = [(key, f"task-{key}") for key in range(4)]
+        bodies = {"pid": _pid_body, "raising": _raising_body}
+        outcomes = {}
+        for jobs in (1, 2):
+            outcomes[jobs] = {}
+            for name, body in bodies.items():
+                payload = {"task_body": body, "raise_on": 2}
+                with WorkerWatchdog(world, payload, jobs, None) as pool:
+                    outcomes[jobs][name] = pool.run_tasks(list(tasks))
+                    if jobs == 1:
+                        assert multiprocessing.active_children() == []
+        in_process = outcomes[1]
+        assert {pid for pid, _kind, _err in in_process["pid"].values()} == {
+            os.getpid()
+        }
+        assert in_process["raising"][2] == (
+            None, "failed", "RuntimeError: task 2 raised"
+        )
+        for name in bodies:
+            assert {
+                key: (None if kind == "ok" else rows, kind, error)
+                for key, (rows, kind, error) in in_process[name].items()
+            } == {
+                key: (None if kind == "ok" else rows, kind, error)
+                for key, (rows, kind, error) in outcomes[2][name].items()
+            }
+
 
 def _pid_body(state, task, heartbeat=None):
     """Report which worker ran ``task``: its pid.
@@ -348,6 +369,13 @@ def _pid_body(state, task, heartbeat=None):
             open(die_once[1], "w").close()
             os._exit(13)
     return os.getpid()
+
+
+def _raising_body(state, task, heartbeat=None):
+    """:func:`_pid_body`, except that task ``state["raise_on"]`` raises."""
+    if task[0] == state["raise_on"]:
+        raise RuntimeError(f"task {task[0]} raised")
+    return _pid_body(state, task, heartbeat)
 
 
 class TestAffinityDispatch:
