@@ -751,11 +751,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_probe(args: argparse.Namespace) -> int:
     scenario = get_preset(args.preset, seed=args.seed)
-    if args.vp is None:
-        vp = scenario.working_vps[0]
-    else:
-        vp = scenario.vp_by_name(args.vp)
-    dst = addr_to_int(args.dst)
+    try:
+        if args.vp is None:
+            vp = scenario.working_vps[0]
+        else:
+            vp = scenario.vp_by_name(args.vp)
+        dst = addr_to_int(args.dst)
+    except (KeyError, ValueError) as exc:
+        print(f"probe: {exc.args[0]}", file=sys.stderr)
+        return 2
     prober = scenario.prober
     trace_output = getattr(args, "trace_output", None)
     tracer: Optional[PacketTracer] = None

@@ -19,9 +19,6 @@ from this structure.
 
 from __future__ import annotations
 
-import gzip
-import json
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -38,10 +35,9 @@ from typing import (
 
 from repro.net.addr import parse_prefix, same_slash24
 from repro.probing.artifacts import (
-    atomic_write_bytes,
-    canonical_json_bytes,
-    embed_checksum,
-    verify_embedded_checksum,
+    ArtifactError,
+    read_json_artifact,
+    write_json_artifact,
 )
 from repro.obs.spans import TRACER
 from repro.obs.timing import timed
@@ -69,22 +65,9 @@ __all__ = [
 ]
 
 
-class SurveyFormatError(ValueError):
-    """A survey (or checkpoint) artifact on disk is unreadable.
-
-    Raised with the offending path and a human-readable reason instead
-    of leaking ``json.JSONDecodeError`` / ``EOFError`` / gzip internals
-    to the caller — load-bearing once ``--resume`` reads checkpoints
-    written by possibly-killed campaigns.
-    """
-
-    def __init__(self, path: Union[str, Path], reason: str) -> None:
-        super().__init__(str(path), reason)
-        self.path = str(path)
-        self.reason = reason
-
-    def __str__(self) -> str:
-        return f"{self.path}: {self.reason}"
+#: A survey (or checkpoint) artifact on disk is unreadable: the one
+#: artifact framing error, carrying the path and a reason.
+SurveyFormatError = ArtifactError
 
 #: Fixed shard count for the ping survey. Destinations are dealt
 #: round-robin into this many shards regardless of ``jobs``, so every
@@ -232,11 +215,6 @@ class RRSurvey:
         ]
 
 
-def _is_gzip_path(path: Union[str, Path]) -> bool:
-    """Auto-detect compressed survey artifacts by the ``.gz`` suffix."""
-    return str(path).endswith(".gz")
-
-
 def save_survey(survey: RRSurvey, path: Union[str, Path]) -> None:
     """Persist a completed RR survey as JSON (gzipped for ``*.gz``).
 
@@ -250,10 +228,11 @@ def save_survey(survey: RRSurvey, path: Union[str, Path]) -> None:
     stream (``mtime=0``), so large campaign artifacts stay small and
     byte-comparable across runs.
 
-    Integrity: the record carries an embedded sha256 over its
-    canonical JSON bytes (verified by :func:`load_survey`), and the
-    file lands through the shared atomic write-rename helper, so a
-    crashed save can never leave a torn artifact behind.
+    Integrity: written by
+    :func:`~repro.probing.artifacts.write_json_artifact` — canonical
+    JSON with an embedded sha256 (verified by :func:`load_survey`),
+    landed atomically, so a crashed save can never leave a torn
+    artifact behind.
     """
     record = {
         "version": 1,
@@ -285,75 +264,17 @@ def save_survey(survey: RRSurvey, path: Union[str, Path]) -> None:
             sorted(addrs) for addrs in survey.inprefix_addrs
         ],
     }
-    data = canonical_json_bytes(embed_checksum(record))
-    if _is_gzip_path(path):
-        # mtime=0 keeps the compressed bytes deterministic, so the
-        # parallel-vs-serial parity bar applies to .json.gz too.
-        atomic_write_bytes(path, gzip.compress(data, mtime=0))
-    else:
-        atomic_write_bytes(path, data)
-
-
-def load_json_artifact(
-    path: Union[str, Path], kind: str = "artifact"
-) -> dict:
-    """Read + parse a (possibly gzipped) JSON artifact, or raise
-    :class:`SurveyFormatError` with the path and a clear reason.
-
-    Shared by :func:`load_survey` and the campaign checkpoint loader:
-    truncated gzip streams (``EOFError``), corrupt gzip headers
-    (``gzip.BadGzipFile``), truncated/garbage JSON
-    (``json.JSONDecodeError``), and non-UTF-8 bytes all surface as the
-    same well-labelled error. A missing file stays a
-    ``FileNotFoundError`` — absence and corruption are different
-    failures.
-
-    If the record carries an embedded content checksum (every artifact
-    written since checksums existed does), it is recomputed over the
-    parsed record's canonical bytes and compared; a mismatch raises
-    :class:`SurveyFormatError` and is counted in
-    ``artifact_checksum_failures_total{kind}``. The checksum field is
-    stripped from the returned record.
-    """
-    raw = Path(path).read_bytes()
-    if _is_gzip_path(path):
-        try:
-            raw = gzip.decompress(raw)
-        except EOFError:
-            raise SurveyFormatError(
-                path, "truncated gzip stream (file cut short?)"
-            ) from None
-        except (gzip.BadGzipFile, zlib.error, OSError) as exc:
-            raise SurveyFormatError(
-                path, f"corrupt gzip data: {exc}"
-            ) from None
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise SurveyFormatError(path, f"not UTF-8: {exc}") from None
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        reason = "truncated JSON" if not text.strip() else f"invalid JSON: {exc}"
-        raise SurveyFormatError(path, reason) from None
-    if not isinstance(record, dict):
-        raise SurveyFormatError(
-            path, f"expected a JSON object, got {type(record).__name__}"
-        )
-    body, checksum_error = verify_embedded_checksum(record, kind=kind)
-    if checksum_error is not None:
-        raise SurveyFormatError(path, checksum_error)
-    return body
+    write_json_artifact(path, record)
 
 
 def load_survey(path: Union[str, Path]) -> RRSurvey:
     """Load a survey written by :func:`save_survey` (``.gz`` aware).
 
     Raises :class:`SurveyFormatError` (with path + reason) on
-    truncated, corrupt, checksum-mismatched, or wrong-version
-    artifacts.
+    truncated, corrupt, checksum-less, checksum-mismatched, or
+    wrong-version artifacts.
     """
-    record = load_json_artifact(path, kind="survey")
+    record = read_json_artifact(path, kind="survey")
     if record.get("version") != 1:
         raise SurveyFormatError(
             path,

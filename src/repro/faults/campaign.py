@@ -33,19 +33,13 @@ silently merging apples into oranges.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.survey import (
-    RRSurvey,
-    SurveyFormatError,
-    VPRows,
-    load_json_artifact,
-)
+from repro.core.survey import RRSurvey, SurveyFormatError, VPRows
 from repro.faults.injector import fault_event_counter
 from repro.faults.specs import FaultPlan, VpChurn
 from repro.faults.supervisor import (
@@ -57,12 +51,7 @@ from repro.faults.supervisor import (
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.spans import TRACER
 from repro.obs.status import CampaignStatusWriter, sum_counter
-from repro.probing.artifacts import (
-    atomic_write_bytes,
-    atomic_write_text,
-    canonical_json_bytes,
-    embed_checksum,
-)
+from repro.probing.artifacts import read_json_artifact, write_json_artifact
 from repro.probing.validation import empty_quality, merge_quality
 from repro.probing.prober import DEFAULT_PPS
 from repro.probing.scheduler import ProbeOrder
@@ -231,15 +220,16 @@ def checkpoint_generation_path(path: Union[str, Path]) -> Path:
 def load_checkpoint(path: Union[str, Path]) -> dict:
     """Load + structurally validate a campaign checkpoint.
 
-    Reuses :func:`~repro.core.survey.load_json_artifact`, so truncated
-    or corrupt files, non-UTF-8 bytes, and embedded-checksum
-    mismatches all surface as :class:`SurveyFormatError` with the path
-    and reason. On top of that the checkpoint *schema* is validated —
-    required keys present with the right shapes — so drift (a hand-
-    edited file, a record from a future version) fails loudly instead
-    of exploding deep inside the resume path.
+    Reads through :func:`~repro.probing.artifacts.read_json_artifact`,
+    so truncated or corrupt files, non-UTF-8 bytes, and missing or
+    mismatched embedded checksums all surface as
+    :class:`SurveyFormatError` with the path and reason. On top of
+    that the checkpoint *schema* is validated — required keys present
+    with the right shapes — so drift (a hand-edited file, a record
+    from a future version) fails loudly instead of exploding deep
+    inside the resume path.
     """
-    data = load_json_artifact(path, kind="checkpoint")
+    data = read_json_artifact(path, kind="checkpoint")
     if data.get("version") != CHECKPOINT_VERSION:
         raise SurveyFormatError(
             path,
@@ -464,14 +454,7 @@ class CampaignRunner:
         # repaired from the previous complete state at load time.
         if path.exists():
             os.replace(path, checkpoint_generation_path(path))
-        atomic_write_text(
-            path,
-            json.dumps(
-                embed_checksum(payload),
-                sort_keys=True,
-                separators=(",", ":"),
-            ),
-        )
+        write_json_artifact(path, payload)
 
     def _load_resume_state(
         self, fingerprint: str
@@ -484,14 +467,7 @@ class CampaignRunner:
             # state so subsequent writes rotate a *good* file into
             # ``.1`` and the corrupt one stops masquerading as data.
             self._repairs.inc()
-            atomic_write_text(
-                path,
-                json.dumps(
-                    embed_checksum(data),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                ),
-            )
+            write_json_artifact(path, data)
         if data["fingerprint"] != fingerprint:
             raise SurveyFormatError(
                 path,
@@ -910,5 +886,5 @@ class CampaignRunner:
             "records": quality["quarantined"],
             "degraded": quality["degraded"],
         }
-        atomic_write_bytes(path, canonical_json_bytes(embed_checksum(record)))
+        write_json_artifact(path, record)
         return str(path)

@@ -11,8 +11,8 @@
   ``ts``/``dur``, one track per vantage point — loadable in
   ``chrome://tracing`` or Perfetto.
 * Packet traces: persist :class:`~repro.obs.trace.TraceEvent` rings
-  as JSONL with an integrity trailer (``probe --trace-output``),
-  through the shared atomic-write + sha256 helpers in
+  as sealed JSONL — per-line checksums plus a checksummed trailer
+  (``probe --trace-output``) — in the framing of
   :mod:`repro.probing.artifacts`.
 
 Everything operates on plain data, so artifacts persisted earlier
@@ -22,7 +22,6 @@ stdlib.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict
 from typing import Dict, Iterable, List, Optional, Sequence, Union
@@ -337,78 +336,52 @@ def render_span_tree(spans: Sequence[dict]) -> str:
 
 # -- Packet-trace JSONL ----------------------------------------------------
 
+#: The ``record`` tag of a packet-trace JSONL trailer.
+TRACE_TRAILER = "trace_jsonl_trailer"
+TRACE_VERSION = 1
+
 
 def trace_events_to_jsonl(events: Iterable[TraceEvent]) -> str:
-    """`TraceEvent`s as JSONL with an integrity trailer.
+    """`TraceEvent`s as sealed JSONL (see :mod:`repro.probing.artifacts`).
 
-    One compact JSON object per event in ring order, then a trailer
-    line carrying the event count, the sha256 of the event lines, and
-    (via :func:`~repro.probing.artifacts.embed_checksum`) the
-    trailer's own content digest — so a reader can detect both a
-    corrupted body and a corrupted trailer.
+    One checksummed line per event in ring order, then a trailer line
+    carrying the event count and the sha256 of the event lines, itself
+    checksummed — so a reader detects a corrupted event, a corrupted
+    trailer, and a dropped or added line.
     """
-    from repro.probing.artifacts import embed_checksum
+    from repro.probing.artifacts import JsonlSeal, encode_jsonl_line
 
-    lines = [
-        json.dumps(asdict(event), sort_keys=True, separators=(",", ":"))
-        for event in events
-    ]
-    body = "\n".join(lines)
-    trailer = embed_checksum(
-        {
-            "kind": "trace_jsonl",
-            "events": len(lines),
-            "body_sha256": hashlib.sha256(
-                body.encode("utf-8")
-            ).hexdigest(),
-        }
-    )
+    seal = JsonlSeal()
+    lines = []
+    for event in events:
+        line = encode_jsonl_line(asdict(event))
+        seal.add(line)
+        lines.append(line)
     lines.append(
-        json.dumps(trailer, sort_keys=True, separators=(",", ":"))
+        seal.trailer(TRACE_TRAILER, kind="trace_jsonl", version=TRACE_VERSION)
     )
-    return "\n".join(lines)
+    return "".join(line + "\n" for line in lines)
 
 
 def write_trace_jsonl(path, events: Iterable[TraceEvent]) -> None:
     """Atomically write :func:`trace_events_to_jsonl` to ``path``."""
     from repro.probing.artifacts import atomic_write_text
 
-    atomic_write_text(path, trace_events_to_jsonl(events) + "\n")
+    atomic_write_text(path, trace_events_to_jsonl(events))
 
 
 def load_trace_jsonl(path) -> List[TraceEvent]:
     """Read a :func:`write_trace_jsonl` artifact, verifying integrity.
 
-    Raises ``ValueError`` when the trailer is missing or malformed,
-    when either digest mismatches, or when the event count disagrees.
+    Raises :class:`~repro.probing.artifacts.ArtifactError` (a
+    ``ValueError``) naming the path when a line or the trailer fails
+    its checksum, the trailer is missing, or the event count or body
+    digest disagrees.
     """
-    from repro.probing.artifacts import checksum_of, split_checksum
+    from repro.probing.artifacts import ArtifactError, read_sealed_jsonl
 
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle.read().splitlines() if line]
-    if not lines:
-        raise ValueError(f"{path}: empty trace artifact")
+    records, _trailer = read_sealed_jsonl(path, TRACE_TRAILER)
     try:
-        trailer = json.loads(lines[-1])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: bad trailer: {exc}") from None
-    if (
-        not isinstance(trailer, dict)
-        or trailer.get("kind") != "trace_jsonl"
-    ):
-        raise ValueError(f"{path}: missing trace_jsonl trailer")
-    body_lines = lines[:-1]
-    body, stored = split_checksum(trailer)
-    if stored is None or stored != checksum_of(body):
-        raise ValueError(f"{path}: trailer checksum mismatch")
-    digest = hashlib.sha256(
-        "\n".join(body_lines).encode("utf-8")
-    ).hexdigest()
-    if digest != body["body_sha256"]:
-        raise ValueError(f"{path}: event body checksum mismatch")
-    if len(body_lines) != body["events"]:
-        raise ValueError(
-            f"{path}: event count mismatch: trailer says "
-            f"{body['events']}, found {len(body_lines)}"
-        )
-    return [TraceEvent(**json.loads(line)) for line in body_lines]
+        return [TraceEvent(**record) for record in records]
+    except TypeError as exc:
+        raise ArtifactError(path, f"not a trace event: {exc}") from None

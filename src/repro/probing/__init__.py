@@ -13,7 +13,6 @@ from repro.probing.scheduler import (
     order_destinations,
     split_round_robin,
 )
-from repro.probing.store import ResultStore, dump_results, load_results
 from repro.probing.warts import WartsReader, WartsStore, WartsWriter
 from repro.probing.vantage import SITE_CITIES, Platform, VantagePoint, vp_addr
 
@@ -28,9 +27,6 @@ __all__ = [
     "ProbeOrder",
     "order_destinations",
     "split_round_robin",
-    "ResultStore",
-    "dump_results",
-    "load_results",
     "WartsReader",
     "WartsStore",
     "WartsWriter",

@@ -8,7 +8,7 @@ nothing leaks in from simulator ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.net.addr import int_to_addr
 
@@ -16,6 +16,7 @@ __all__ = [
     "PingResult",
     "RRPingResult",
     "RRUdpResult",
+    "ResultType",
     "TracerouteResult",
     "TsPingResult",
 ]
@@ -196,3 +197,9 @@ class TracerouteResult:
             f"Traceroute({self.vp_name} -> {int_to_addr(self.dst)} "
             f"reached={self.reached}: {rendered})"
         )
+
+
+#: Any one typed probe result.
+ResultType = Union[
+    PingResult, RRPingResult, RRUdpResult, TracerouteResult, TsPingResult
+]

@@ -5,8 +5,7 @@ tools stream-process without loading whole files. This module provides
 the equivalent for our result types: a magic-tagged header followed by
 length-prefixed records, each a type byte plus a compact field
 encoding (fixed-width integers, varint-prefixed lists, nullable
-addresses). JSONL (:mod:`repro.probing.store`) stays the friendly
-format; this one is for bulk archives — typically 3-6x smaller.
+addresses), for bulk archives of measurement results.
 
 Layout::
 
@@ -22,14 +21,15 @@ import io
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Union
 
+from repro.probing.artifacts import atomic_write_bytes
 from repro.probing.results import (
     PingResult,
     RRPingResult,
     RRUdpResult,
+    ResultType,
     TracerouteResult,
     TsPingResult,
 )
-from repro.probing.store import ResultType
 
 __all__ = ["WartsError", "WartsWriter", "WartsReader", "WartsStore"]
 
@@ -352,14 +352,18 @@ class WartsReader:
 
 
 class WartsStore:
-    """Path-bound convenience wrapper, mirroring :class:`ResultStore`."""
+    """Path-bound convenience wrapper around the reader and writer."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
 
     def write(self, results: Iterable[ResultType]) -> int:
-        with self.path.open("wb") as fh:
-            return WartsWriter(fh).write_all(results)
+        """Replace the archive atomically: a failing ``results``
+        iterator leaves the previous archive intact."""
+        buffer = io.BytesIO()
+        count = WartsWriter(buffer).write_all(results)
+        atomic_write_bytes(self.path, buffer.getvalue())
+        return count
 
     def read(self) -> List[ResultType]:
         if not self.path.exists():

@@ -27,7 +27,6 @@ retry budget; the other tenants' plans (and bytes) are unaffected.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,9 +37,9 @@ from repro.faults.supervisor import CircuitBreaker, SupervisionConfig
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.status import CampaignStatusWriter
 from repro.probing.artifacts import (
-    atomic_write_text,
-    embed_checksum,
-    verify_embedded_checksum,
+    ArtifactError,
+    read_json_artifact,
+    write_json_artifact,
 )
 from repro.scenarios.internet import Scenario
 from repro.service.credits import CreditLedger, TenantQuota
@@ -129,7 +128,6 @@ class MeasurementDaemon:
         self.scenario = scenario
         self.config = config
         registry = REGISTRY if registry is None else registry
-        self._registry = registry
         self.ledger = CreditLedger(
             config.quota, config.quota_overrides, registry
         )
@@ -348,13 +346,7 @@ class MeasurementDaemon:
                 for state in self.scheduler.states_in_order()
             ],
         }
-        atomic_write_text(
-            path,
-            json.dumps(
-                embed_checksum(record), indent=2, sort_keys=True
-            )
-            + "\n",
-        )
+        write_json_artifact(path, record)
 
     def restore(self) -> bool:
         """Restore checkpointed state now, before any submissions —
@@ -367,26 +359,22 @@ class MeasurementDaemon:
         path = self.config.checkpoint_path
         if path is None or not Path(path).exists():
             return False
-        raw = json.loads(Path(path).read_text("utf-8"))
-        body, error = verify_embedded_checksum(
-            raw, kind=CHECKPOINT_KIND, registry=self._registry
-        )
-        if error is not None:
-            raise ValueError(f"{path}: {error}")
+        body = read_json_artifact(path, kind=CHECKPOINT_KIND)
         if (
             body.get("kind") != CHECKPOINT_KIND
             or body.get("version") != CHECKPOINT_VERSION
         ):
-            raise ValueError(f"{path}: not a service checkpoint")
+            raise ArtifactError(path, "not a service checkpoint")
         if (
             body.get("scenario") != self.scenario.name
             or body.get("seed") != self.scenario.seed
         ):
-            raise ValueError(
-                f"{path}: checkpoint belongs to scenario "
+            raise ArtifactError(
+                path,
+                f"checkpoint belongs to scenario "
                 f"{body.get('scenario')!r} seed {body.get('seed')!r}, "
                 f"daemon is running {self.scenario.name!r} seed "
-                f"{self.scenario.seed!r}"
+                f"{self.scenario.seed!r}",
             )
         for record in body.get("specs", ()):
             spec = parse_spec(record["spec"])

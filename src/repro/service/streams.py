@@ -1,12 +1,13 @@
-"""Per-spec result streams: append-only checksummed JSONL.
+"""Per-spec result streams: append-only sealed JSONL.
 
 Each admitted spec owns one stream file
-(``<stream_dir>/<tenant>/<spec>.jsonl``). Every completed unit
-appends exactly one line — the unit record in canonical JSON with an
-embedded per-line sha256 (:func:`repro.probing.artifacts.embed_checksum`)
-— durably (flush + fsync) via :func:`append_text_line`. When the spec
-finishes, a trailer line seals the stream: record count plus a
-``body_sha256`` over all record lines, itself checksummed.
+(``<stream_dir>/<tenant>/<spec>.jsonl``) in the sealed-JSONL framing
+of :mod:`repro.probing.artifacts`. Every completed unit appends
+exactly one line — the unit record in canonical JSON with an embedded
+per-line sha256 (:func:`~repro.probing.artifacts.encode_jsonl_line`)
+— durably (flush + fsync). When the spec finishes, a trailer line
+seals the stream: record count plus a ``body_sha256`` over all record
+lines, itself checksummed (:class:`~repro.probing.artifacts.JsonlSeal`).
 
 Byte-identity argument: a unit record's content is a deterministic
 function of (scenario, seed, spec, unit index); units are flushed in
@@ -15,7 +16,7 @@ global scheduling interleave or worker count; the trailer is computed
 from the records alone (no timestamps). Hence the full stream file is
 byte-identical across worker counts, pauses, and kill→resume.
 
-Crash recovery (:meth:`TenantStream.open`): re-validate every line,
+Crash recovery (:meth:`TenantStream.open`): re-verify every line,
 drop a torn/invalid tail, drop any trailer (the daemon re-finalizes
 finished specs — the trailer is deterministic so re-sealing rewrites
 identical bytes), and truncate to the checkpoint's flushed-unit count
@@ -25,18 +26,17 @@ record, which resume rewinds and replays identically.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from repro.probing.artifacts import (
+    ArtifactError,
+    JsonlSeal,
     append_text_line,
     atomic_write_text,
-    canonical_json_bytes,
-    checksum_of,
-    embed_checksum,
-    split_checksum,
+    encode_jsonl_line,
+    read_sealed_jsonl,
+    verify_jsonl_line,
 )
 
 __all__ = [
@@ -52,32 +52,8 @@ STREAM_VERSION = 1
 UNIT_RECORD = "unit"
 TRAILER_RECORD = "tenant_stream_trailer"
 
-
-class StreamFormatError(ValueError):
-    """A stream failed verification on a *strict* load."""
-
-    def __init__(self, path: Union[str, Path], reason: str) -> None:
-        super().__init__(f"{path}: {reason}")
-        self.path = str(path)
-        self.reason = reason
-
-
-def _record_line(record: dict) -> str:
-    return canonical_json_bytes(embed_checksum(record)).decode("utf-8")
-
-
-def _valid_record(line: str) -> Optional[dict]:
-    """Parse + verify one line; ``None`` for anything torn or tampered."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict):
-        return None
-    body, stored = split_checksum(record)
-    if stored is None or checksum_of(body) != stored:
-        return None
-    return body
+#: A stream failed verification (the one artifact framing error).
+StreamFormatError = ArtifactError
 
 
 class TenantStream:
@@ -87,9 +63,13 @@ class TenantStream:
         self.path = Path(path)
         self.tenant = tenant
         self.spec = spec
-        self.records = 0
         self.finalized = False
-        self._body_hash = hashlib.sha256()
+        self._seal = JsonlSeal()
+
+    @property
+    def records(self) -> int:
+        """Unit records in the stream so far."""
+        return self._seal.records
 
     # -- creation / recovery ----------------------------------------------
 
@@ -125,8 +105,10 @@ class TenantStream:
             return stream
         kept: List[str] = []
         dirty = False
-        for line in stream.path.read_text("utf-8").splitlines():
-            body = _valid_record(line)
+        # Undecodable bytes become U+FFFD, which no valid line holds.
+        text = stream.path.read_bytes().decode("utf-8", "replace")
+        for line in text.splitlines():
+            body = verify_jsonl_line(line)
             if body is None or body.get("record") == TRAILER_RECORD:
                 # Torn tail or trailer: everything from here on is
                 # rewritten by the resumed run.
@@ -148,8 +130,7 @@ class TenantStream:
                 "".join(line + "\n" for line in kept),
             )
         for line in kept:
-            stream._body_hash.update((line + "\n").encode("utf-8"))
-        stream.records = len(kept)
+            stream._seal.add(line)
         return stream
 
     # -- appending ---------------------------------------------------------
@@ -158,24 +139,23 @@ class TenantStream:
         """Durably append one unit record (checksummed canonical JSON)."""
         if self.finalized:
             raise StreamFormatError(self.path, "stream already finalized")
-        line = _record_line(record)
+        line = encode_jsonl_line(record)
         append_text_line(self.path, line)
-        self._body_hash.update((line + "\n").encode("utf-8"))
-        self.records += 1
+        self._seal.add(line)
 
     def finalize(self) -> None:
         """Seal the stream with a deterministic trailer line."""
         if self.finalized:
             return
-        trailer = {
-            "record": TRAILER_RECORD,
-            "version": STREAM_VERSION,
-            "tenant": self.tenant,
-            "spec": self.spec,
-            "records": self.records,
-            "body_sha256": self._body_hash.hexdigest(),
-        }
-        append_text_line(self.path, _record_line(trailer))
+        append_text_line(
+            self.path,
+            self._seal.trailer(
+                TRAILER_RECORD,
+                version=STREAM_VERSION,
+                tenant=self.tenant,
+                spec=self.spec,
+            ),
+        )
         self.finalized = True
 
 
@@ -188,31 +168,4 @@ def load_stream(
     ``require_trailer=False``) must match the record count and body
     hash. Raises :class:`StreamFormatError` on any mismatch.
     """
-    text = Path(path).read_text("utf-8")
-    records: List[dict] = []
-    trailer: Optional[dict] = None
-    body_hash = hashlib.sha256()
-    for index, line in enumerate(text.splitlines()):
-        body = _valid_record(line)
-        if body is None:
-            raise StreamFormatError(
-                path, f"line {index + 1}: invalid or tampered record"
-            )
-        if body.get("record") == TRAILER_RECORD:
-            trailer = body
-            break
-        records.append(body)
-        body_hash.update((line + "\n").encode("utf-8"))
-    if trailer is None:
-        if require_trailer:
-            raise StreamFormatError(path, "missing stream trailer")
-        return records, None
-    if trailer.get("records") != len(records):
-        raise StreamFormatError(
-            path,
-            f"trailer records {trailer.get('records')} != "
-            f"{len(records)} records present",
-        )
-    if trailer.get("body_sha256") != body_hash.hexdigest():
-        raise StreamFormatError(path, "stream body hash mismatch")
-    return records, trailer
+    return read_sealed_jsonl(path, TRAILER_RECORD, require_trailer)

@@ -137,6 +137,42 @@ class TestCommands:
         assert "send" in out
         assert "verdict:" in out
 
+    def test_probe_trace_output_roundtrips(self, tmp_path):
+        from repro.obs.export import load_trace_jsonl
+        from repro.probing.artifacts import ArtifactError
+        from repro.scenarios.presets import get_preset
+
+        path = tmp_path / "trace.jsonl"
+        code = main([
+            "probe", "--preset", "tiny", "--dst", "0.1.1.10",
+            "--type", "rr", "--trace-output", str(path),
+        ])
+        assert code == 0
+        # The same probe on a fresh scenario yields the same events.
+        scenario = get_preset("tiny", seed=2016)
+        tracer = scenario.network.attach_tracer()
+        scenario.prober.ping_rr(scenario.working_vps[0], 0x0001010A)
+        events = load_trace_jsonl(path)
+        assert events and events == list(tracer.events)
+        lines = path.read_text("utf-8").splitlines()
+        lines[1] = lines[1].replace('"t":', '"t":1', 1)
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        with pytest.raises(ArtifactError) as err:
+            load_trace_jsonl(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--dst", "999.1.1.1"], "octet out of range"),
+            (["--dst", "0.1.1.10", "--vp", "nope"], "unknown vantage point"),
+        ],
+    )
+    def test_probe_bad_input_exits_2(self, capsys, flags, reason):
+        assert main(["probe", "--preset", "tiny", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("probe: ") and reason in err
+
     def test_stats_table_after_study(self, capsys):
         code = main(["stats", "--preset", "tiny"])
         assert code == 0

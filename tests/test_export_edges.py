@@ -93,7 +93,7 @@ class TestEmptyInputs:
         text = trace_events_to_jsonl([])
         trailer = json.loads(text.strip())
         assert trailer["kind"] == "trace_jsonl"
-        assert trailer["events"] == 0
+        assert trailer["records"] == 0
 
 
 class TestHistogramCumulativity:

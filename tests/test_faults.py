@@ -42,6 +42,7 @@ from repro.faults import (
 )
 from repro.faults.campaign import load_checkpoint
 from repro.faults.supervisor import SupervisionConfig
+from repro.probing.artifacts import embed_checksum
 from repro.scenarios.faults import FAULT_PRESETS, build_fault_plan
 from repro.scenarios.presets import get_preset
 from repro.sim.rate_limiter import TokenBucket
@@ -370,10 +371,10 @@ class TestCampaign:
             CampaignRunner(
                 world, checkpoint_path=ck
             ).run(targets=targets, resume=True)
-        ck.write_text(json.dumps({"version": 99}), "utf-8")
+        ck.write_text(json.dumps(embed_checksum({"version": 99})), "utf-8")
         with pytest.raises(SurveyFormatError) as err:
             load_checkpoint(ck)
-        assert "version" in str(err.value)
+        assert "version" in err.value.reason
 
     def test_validation(self, world):
         with pytest.raises(ValueError):
@@ -424,19 +425,19 @@ class TestSurveyFormatError:
 
     def test_wrong_version(self, tmp_path):
         path = tmp_path / "s.json"
-        path.write_text(json.dumps({"version": 42}), "utf-8")
+        path.write_text(json.dumps(embed_checksum({"version": 42})), "utf-8")
         with pytest.raises(SurveyFormatError) as err:
             load_survey(path)
-        assert "version" in str(err.value)
+        assert "version" in err.value.reason
 
     def test_malformed_record(self, world, targets, tmp_path):
         path = self._rt(world, targets, tmp_path, "s.json")
         data = json.loads(path.read_text("utf-8"))
         data["vps"][0] = {"bogus": True}
-        path.write_text(json.dumps(data), "utf-8")
+        path.write_text(json.dumps(embed_checksum(data)), "utf-8")
         with pytest.raises(SurveyFormatError) as err:
             load_survey(path)
-        assert "malformed" in str(err.value)
+        assert "malformed" in err.value.reason
 
     def test_not_an_object(self, tmp_path):
         path = tmp_path / "s.json"

@@ -4,16 +4,25 @@ These pin down invariants rather than examples: wire formats
 round-trip for *any* valid value, the LPM trie agrees with brute
 force on random RIBs, the token bucket never exceeds its configured
 rate, the RR option's pointer arithmetic holds under any stamp
-sequence, and union-find partitions are equivalence classes.
+sequence, union-find partitions are equivalence classes, and a
+truncated or one-byte-changed artifact reads back as written or not
+at all.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.aliases import UnionFind
 from repro.analysis.cdf import Cdf
 from repro.analysis.ip2as import PrefixTrie
+from repro.core.survey import (
+    SurveyFormatError,
+    load_survey,
+    run_rr_survey,
+    save_survey,
+)
 from repro.net.addr import MAX_ADDR, Prefix, int_to_addr, addr_to_int, prefix_of
 from repro.net.checksum import internet_checksum
 from repro.net.icmp import IcmpEcho, IcmpError, ICMP_ECHO_REQUEST
@@ -26,6 +35,13 @@ from repro.net.options import (
 )
 from repro.net.packet import IPv4Packet
 from repro.net.udp import UdpDatagram
+from repro.probing.artifacts import (
+    ArtifactError,
+    read_json_artifact,
+    write_json_artifact,
+)
+from repro.scenarios.presets import get_preset
+from repro.service.streams import TenantStream, load_stream
 from repro.sim.rate_limiter import TokenBucket
 
 addresses = st.integers(min_value=0, max_value=MAX_ADDR)
@@ -359,3 +375,112 @@ class TestOptionsFuzz:
         assert [opt.to_bytes() for opt in decoded] == [
             opt.to_bytes() for opt in options
         ]
+
+
+# -- Artifact framings -----------------------------------------------------
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**64), max_value=2**64)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=10,
+)
+# Top-level keys the framings reserve are left out: ``sha256`` carries
+# the digest and ``record`` tags a sealed-JSONL trailer.
+json_records = st.dictionaries(
+    st.text(max_size=6).filter(lambda key: key not in ("sha256", "record")),
+    json_values,
+    max_size=4,
+)
+
+
+def _corrupt(data, blob: bytes) -> bytes:
+    """``blob`` truncated, or with one byte changed (often in the
+    ``"sha256"`` key, where a change once made a file load unverified)."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[: data.draw(st.integers(0, len(blob) - 1), label="cut")]
+    key = blob.find(b'"sha256"')
+    if key >= 0 and data.draw(st.booleans(), label="in_key"):
+        # Another key name, still valid JSON.
+        index = data.draw(st.integers(key + 1, key + 6), label="index")
+        value = data.draw(st.sampled_from(b"XYZxyz0189"), label="value")
+    else:
+        index = data.draw(st.integers(0, len(blob) - 1), label="index")
+        value = data.draw(st.integers(0, 255), label="value")
+    if value == blob[index]:
+        value ^= 0x01
+    return blob[:index] + bytes([value]) + blob[index + 1:]
+
+
+def _reads_back_or_rejects(read, path, expected) -> None:
+    """``read(path)`` returns exactly ``expected`` or raises the
+    framing error naming ``path``; anything else fails."""
+    try:
+        got = read(path)
+    except ArtifactError as exc:
+        assert str(path) in str(exc)
+        return
+    assert got == expected
+
+
+class TestArtifactFraming:
+    """Both artifact framings under truncation and one-byte changes:
+    a damaged file reads back as the data written or not at all."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(json_records, st.sampled_from(["a.json", "a.json.gz"]), st.data())
+    def test_json_document_survives_or_rejects(
+        self, tmp_path_factory, record, name, data
+    ):
+        path = tmp_path_factory.getbasetemp() / name
+        write_json_artifact(path, record)
+        assert read_json_artifact(path) == record
+        path.write_bytes(_corrupt(data, path.read_bytes()))
+        _reads_back_or_rejects(read_json_artifact, path, record)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(json_records, max_size=3), st.data())
+    def test_sealed_jsonl_survives_or_rejects(
+        self, tmp_path_factory, records, data
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzz" / "s.jsonl"
+        path.unlink(missing_ok=True)
+        stream = TenantStream.open(path, "fuzz", "s")
+        for record in records:
+            stream.append(record)
+        stream.finalize()
+        assert load_stream(path)[0] == records
+        path.write_bytes(_corrupt(data, path.read_bytes()))
+        _reads_back_or_rejects(
+            lambda p: load_stream(p)[0], path, records
+        )
+
+    def test_checksum_key_change_rejects_survey(self, tmp_path):
+        scenario = get_preset("tiny", seed=7)
+        survey = run_rr_survey(
+            scenario,
+            dests=list(scenario.hitlist)[:20],
+            vps=list(scenario.vps)[:3],
+        )
+        path = tmp_path / "s.json"
+        save_survey(survey, path)
+        blob = bytearray(path.read_bytes())
+        key = blob.index(b'"sha256"')
+        blob[key + 4] = ord("X")  # "sha256" -> "shaX56"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SurveyFormatError) as err:
+            load_survey(path)
+        assert str(path) in str(err.value)
+        # A second change to the data itself must not load either.
+        addr = blob.index(b'"addr":', blob.index(b'"dests"')) + len('"addr":')
+        blob[addr] = ord("9") if blob[addr] != ord("9") else ord("8")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(SurveyFormatError):
+            load_survey(path)

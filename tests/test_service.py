@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.probing.artifacts import ArtifactError
 from repro.obs.status import render_status
 from repro.scenarios.presets import get_preset
 from repro.scenarios.service import demo_quota, demo_spec_records
@@ -674,6 +675,41 @@ def test_checkpoint_rejects_tamper(tmp_path):
     )
     with pytest.raises(ValueError):
         fresh.restore()
+
+
+CORRUPT_CHECKPOINTS = {
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "not_an_object": lambda raw: b"[1, 2]",
+    "not_utf8": lambda raw: b"\xff\xfe",
+    "no_checksum": lambda raw: json.dumps(
+        {k: v for k, v in json.loads(raw).items() if k != "sha256"}
+    ).encode(),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(CORRUPT_CHECKPOINTS))
+def test_corrupt_checkpoint_is_a_framing_error(tmp_path, capsys, damage):
+    from repro.cli import main
+
+    daemon = MeasurementDaemon(
+        _scenario(), _config(tmp_path), registry=_registry()
+    )
+    daemon.submit(SPECS[0])
+    path = tmp_path / "service.ckpt"
+    path.write_bytes(CORRUPT_CHECKPOINTS[damage](path.read_bytes()))
+    fresh = MeasurementDaemon(
+        _scenario(), _config(tmp_path), registry=_registry()
+    )
+    with pytest.raises(ArtifactError) as err:
+        fresh.restore()
+    assert err.value.path == str(path)
+    code = main([
+        "serve", "--preset", "tiny", "--seed", "7", "--demo",
+        "--stream-dir", str(tmp_path / "streams"),
+        "--checkpoint", str(path), "--resume",
+    ])
+    assert code == 2
+    assert f"serve: {path}: " in capsys.readouterr().err
 
 
 # -- status rendering (satellite: legacy tolerance) ------------------------

@@ -602,7 +602,7 @@ class TestCheckpointIntegrity:
     def test_schema_validation(self, tmp_path):
         def write(record, name="s.ckpt"):
             path = tmp_path / name
-            path.write_text(json.dumps(record), "utf-8")
+            path.write_text(json.dumps(embed_checksum(record)), "utf-8")
             return path
 
         valid = {
@@ -611,7 +611,7 @@ class TestCheckpointIntegrity:
             "completed": {"vp": {"rows": [], "inprefix": []}},
             "attempts": {"vp": 1},
         }
-        load_checkpoint(write(valid))  # sanity: legacy, no checksum
+        load_checkpoint(write(valid))  # sanity: the valid shape loads
         for mutate, needle in [
             (lambda d: d.pop("fingerprint"), "fingerprint"),
             (lambda d: d.pop("attempts"), "attempts"),
@@ -646,9 +646,9 @@ class TestArtifactIntegrity:
         assert body == record and stored == sealed[CHECKSUM_KEY]
         verified, error = verify_embedded_checksum(sealed)
         assert error is None and verified == record
-        # Legacy records (no checksum) pass through untouched.
+        # A record without a checksum is rejected, not passed through.
         body, error = verify_embedded_checksum(record)
-        assert error is None and body == record
+        assert error is not None and "no embedded" in error
 
     def test_tamper_is_detected(self):
         sealed = embed_checksum({"a": 1})

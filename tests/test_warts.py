@@ -11,7 +11,6 @@ from repro.probing.results import (
     TracerouteResult,
     TsPingResult,
 )
-from repro.probing.store import ResultStore
 from repro.probing.warts import (
     MAGIC,
     WartsError,
@@ -118,14 +117,18 @@ class TestStore:
     def test_missing_file_reads_empty(self, tmp_path):
         assert WartsStore(tmp_path / "absent.warts").read() == []
 
-    def test_smaller_than_jsonl(self, tmp_path):
-        binary_store = WartsStore(tmp_path / "results.warts")
-        binary_store.write(SAMPLES * 50)
-        jsonl_store = ResultStore(tmp_path / "results.jsonl")
-        jsonl_store.write(SAMPLES * 50)
-        binary_size = (tmp_path / "results.warts").stat().st_size
-        jsonl_size = (tmp_path / "results.jsonl").stat().st_size
-        assert binary_size < jsonl_size * 0.5
+    def test_failed_write_keeps_previous_archive(self, tmp_path):
+        store = WartsStore(tmp_path / "results.warts")
+        store.write(SAMPLES)
+
+        def failing():
+            yield SAMPLES[0]
+            raise RuntimeError("probe source died")
+
+        with pytest.raises(RuntimeError):
+            store.write(failing())
+        assert store.read() == SAMPLES
+        assert [p.name for p in tmp_path.iterdir()] == ["results.warts"]
 
     def test_survey_results_roundtrip(self, tiny_scenario, tmp_path):
         vp = tiny_scenario.working_vps[0]
