@@ -10,7 +10,9 @@ mechanisms exist to pay it down and this script records both:
   single worker process (supervision makes it fork at ``jobs=1``; it
   builds the routing trees first, like any pool), so its gap to
   ``serial`` is the pool's own overhead: fork, IPC, snapshot merging;
-* ``pool_jobsN``    — the pool at ``--jobs`` workers.
+* ``pool_jobsN``    — the pool at ``--jobs`` workers;
+* ``ping``          — the origin's ping survey, which runs in process
+  at every ``jobs``.
 
 Each configuration probes a **fresh scenario** (cold caches) so the
 comparison is fair, then the script verifies the correctness bars —
@@ -104,10 +106,11 @@ def _time_rr(
             # run_rr_survey runs jobs=1 in process; a supervised
             # watchdog forks one worker for the same tasks, exposing
             # the pool's fixed overhead.
-            payload = vp_attempt_payload(
-                targets, vps, ProbeOrder.RANDOM, 9, DEFAULT_PPS
-            )
-            tasks = [(i, vp.name, 1) for i, vp in enumerate(vps)]
+            payload = vp_attempt_payload(targets, vps, ProbeOrder.RANDOM)
+            tasks = [
+                (i, vp.name, i, 0, len(targets), 9, DEFAULT_PPS, 1)
+                for i, vp in enumerate(vps)
+            ]
             with WorkerWatchdog(
                 scenario, payload, 1, SupervisionConfig()
             ) as pool:
@@ -126,15 +129,13 @@ def _time_rr(
     return {"seconds": best, "survey": survey}
 
 
-def _time_ping(
-    preset: str, seed: int, jobs: int, quick: bool, repeat: int
-) -> float:
+def _time_ping(preset: str, seed: int, quick: bool, repeat: int) -> float:
     best: Optional[float] = None
     for _ in range(repeat):
         scenario = _fresh(preset, seed)
         targets, _vps = _subset(scenario, quick)
         start = time.perf_counter()
-        run_ping_survey(scenario, dests=targets, jobs=jobs)
+        run_ping_survey(scenario, dests=targets)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best if best is not None else 0.0
@@ -253,14 +254,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         flush=True,
     )
 
-    timings["ping_serial"] = _time_ping(
-        args.preset, args.seed, jobs=1, quick=args.quick,
-        repeat=args.repeat,
+    timings["ping"] = _time_ping(
+        args.preset, args.seed, quick=args.quick, repeat=args.repeat,
     )
-    timings[f"ping_pool_jobs{args.jobs}"] = _time_ping(
-        args.preset, args.seed, jobs=args.jobs, quick=args.quick,
-        repeat=args.repeat,
-    )
+    print(f"  ping             : {timings['ping']:.3f}s", flush=True)
 
     # Correctness bars: pooled bytes == serial bytes, and the batched
     # dataplane's bytes == the legacy per-hop walk's bytes.
@@ -286,18 +283,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     print(f"  speedup jobs={args.jobs} vs serial: {speedup:.2f}x",
           flush=True)
-    # Pool time over serial time, one line per study: the ping phase's
-    # pool cost stays visible instead of hiding in the total.
-    ratios = {}
-    for study in ("rr", "ping"):
-        serial_s = timings[f"{study}_serial"]
-        pool_s = timings[f"{study}_pool_jobs{args.jobs}"]
-        ratios[study] = pool_s / serial_s if serial_s else 0.0
-        print(
-            f"  {study:<4} pool jobs={args.jobs} / serial: "
-            f"{pool_s:.3f}s / {serial_s:.3f}s = {ratios[study]:.2f}",
-            flush=True,
-        )
+    serial_s = timings["rr_serial"]
+    pool_s = timings[f"rr_pool_jobs{args.jobs}"]
+    ratio = pool_s / serial_s if serial_s else 0.0
+    print(
+        f"  rr pool jobs={args.jobs} / serial: "
+        f"{pool_s:.3f}s / {serial_s:.3f}s = {ratio:.2f}",
+        flush=True,
+    )
     batch_speedup = (
         timings["rr_serial_legacy"] / timings["rr_serial"]
         if timings["rr_serial"] else 0.0
@@ -329,7 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "probes_per_sec": probes_per_sec,
         "timings_seconds": timings,
         "speedup_pool_vs_serial": speedup,
-        "ratio_pool_vs_serial": ratios,
+        "ratio_pool_vs_serial": ratio,
         "speedup_batched_vs_legacy": batch_speedup,
         "parity_byte_identical": identical,
         "parity_batched_vs_legacy": batch_identical,

@@ -209,8 +209,16 @@ def run_drop_study(
     if len(candidates) > sample:
         candidates = rng.sample(candidates, sample)
 
+    # Each localisation runs in its own probe session, so it reads no
+    # limiter, clock or loss state that earlier in-process probing left
+    # behind: the study repeats at any survey ``jobs``.
+    network = scenario.network
     for dest in candidates:
-        study.results.append(
-            localize_drop(scenario, probe_vp, dest.addr, ip2as=mapping)
-        )
+        network.begin_vp_session(f"{probe_vp.name}/drop-{dest.addr}")
+        try:
+            study.results.append(
+                localize_drop(scenario, probe_vp, dest.addr, ip2as=mapping)
+            )
+        finally:
+            network.end_vp_session()
     return study

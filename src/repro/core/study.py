@@ -62,16 +62,16 @@ def run_full_study(
 ) -> StudyData:
     """Run both §3.1 studies against a scenario.
 
-    ``jobs`` is forwarded to the survey engine: ``jobs >= 2`` fans the
-    campaigns out across a per-VP process pool (see
-    :mod:`repro.core.parallel`); the RR survey's persisted JSON is
-    byte-identical for any value. ``batch=False`` forces the legacy
+    ``jobs`` is forwarded to the RR survey: ``jobs >= 2`` fans it out
+    across a per-VP process pool (see :mod:`repro.core.parallel`); its
+    persisted JSON is byte-identical for any value. The ping survey
+    always runs in this process. ``batch=False`` forces the legacy
     per-hop walk (the batched dataplane is byte-identical, so this is
     a benchmarking/debugging switch, not a results switch).
     """
     scenario.prober.batching = batch
     with timed("full_study"):
-        ping_survey = run_ping_survey(scenario, jobs=jobs)
+        ping_survey = run_ping_survey(scenario)
         rr_survey = run_rr_survey(scenario, jobs=jobs)
     return StudyData(
         scenario=scenario, ping_survey=ping_survey, rr_survey=rr_survey
@@ -116,7 +116,7 @@ def run_resilient_study(
     )
     with timed("full_study"):
         result = runner.run(resume=resume)
-        ping_survey = run_ping_survey(scenario, jobs=jobs)
+        ping_survey = run_ping_survey(scenario)
     data = StudyData(
         scenario=scenario,
         ping_survey=ping_survey,

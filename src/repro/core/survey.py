@@ -56,7 +56,6 @@ __all__ = [
     "RRSurvey",
     "SurveyFormatError",
     "ping_in_session",
-    "ping_task_body",
     "run_ping_survey",
     "run_rr_survey",
     "save_survey",
@@ -70,9 +69,8 @@ __all__ = [
 SurveyFormatError = ArtifactError
 
 #: Fixed shard count for the ping survey. Destinations are dealt
-#: round-robin into this many shards regardless of ``jobs``, so every
-#: ``jobs`` produces identical results (each shard is one
-#: deterministic loss-stream session; see DESIGN.md).
+#: round-robin into this many shards, each one deterministic
+#: loss-stream session (see DESIGN.md).
 PING_SHARDS = 8
 
 #: Destinations per ``probe_batch`` span when tracing is enabled.
@@ -82,7 +80,8 @@ PROBE_BATCH_SPAN = 256
 
 #: One VP's compact survey contribution:
 #: ``(rows, inprefix, quality)`` where rows = [(dest_index,
-#: slot-or-None), ...] in probe order, inprefix = [(dest_index,
+#: slot-or-None), ...] in probe order (``dest_index`` is the
+#: destination's index in the VP's targets), inprefix = [(dest_index,
 #: (addr, ...)), ...], and quality is the validation summary dict
 #: (see :func:`repro.probing.validation.empty_quality`): verdict and
 #: reason counters plus the quarantined/degraded record lists. Rows
@@ -329,7 +328,6 @@ def probe_vp_rr(
     scenario: Scenario,
     vp: VantagePoint,
     targets: Sequence[Destination],
-    position: Dict[int, int],
     order: ProbeOrder = ProbeOrder.RANDOM,
     slots: int = 9,
     pps: float = DEFAULT_PPS,
@@ -372,6 +370,7 @@ def probe_vp_rr(
 
     network = scenario.network
     network.begin_vp_session(vp.name)
+    position = {dest.addr: index for index, dest in enumerate(targets)}
     pairs: List[Tuple[Destination, object]] = []
     quality = empty_quality()
     replaced: Dict[int, object] = {}
@@ -524,29 +523,6 @@ def ping_in_session(
         network.end_vp_session()
 
 
-def ping_task_body(
-    state: dict, task: tuple, heartbeat: Optional[Callable[[], None]] = None
-) -> List[Tuple[int, bool]]:
-    """The ping survey's task body: ``task`` is ``(shard_index,
-    label)``; the shard runs in session ``{origin}/ping-shard-{i}``."""
-    shard_index = task[0]
-    origin = state["vps"][0]
-    shard = state["shards"][shard_index]
-    results = ping_in_session(
-        state["scenario"],
-        origin,
-        f"{origin.name}/ping-shard-{shard_index}",
-        shard,
-        count=state["count"],
-        pps=state["pps"],
-        heartbeat=heartbeat,
-    )
-    return [
-        (dest.addr, result.responded)
-        for dest, result in zip(shard, results)
-    ]
-
-
 def run_ping_survey(
     scenario: Scenario,
     dests: Optional[Sequence[Destination]] = None,
@@ -557,34 +533,34 @@ def run_ping_survey(
     """The origin-host plain-ping study (§3.1's second study).
 
     Destinations are dealt into :data:`PING_SHARDS` shards, each pinged
-    in its own loss session, and the shards run at ``jobs`` (1: in
-    process), so every ``jobs`` produces identical results.
+    in its own loss session ``{origin}/ping-shard-{i}``, so the results
+    depend only on the targets. The shards run in this process: the
+    whole study is a few dozen milliseconds of work, less than forking
+    a pool costs. ``jobs`` is accepted for callers that pass a survey's
+    fan-out to both studies, and ignored.
     """
-    from repro.core.parallel import run_pooled_tasks
-
-    if scenario.origin is None:
+    origin = scenario.origin
+    if origin is None:
         raise ValueError("scenario has no origin vantage point")
     targets = list(scenario.hitlist) if dests is None else list(dests)
-    survey = PingSurvey(origin_name=scenario.origin.name)
-    shards = split_round_robin(targets, PING_SHARDS)
-    payload = {
-        "task_body": ping_task_body,
-        "targets": targets,
-        "vps": [scenario.origin],
-        "shards": shards,
-        "count": count,
-        "pps": pps,
-    }
-    tasks = [(i, f"shard-{i}") for i, shard in enumerate(shards) if shard]
+    survey = PingSurvey(origin_name=origin.name)
     with TRACER.span(
-        "ping_survey", clock=scenario.network.clock,
-        targets=len(targets), jobs=jobs,
+        "ping_survey", clock=scenario.network.clock, targets=len(targets),
     ):
         with timed("ping_survey"):
-            for rows in run_pooled_tasks(
-                scenario, payload, tasks, jobs, "ping"
+            for index, shard in enumerate(
+                split_round_robin(targets, PING_SHARDS)
             ):
-                survey.responsive.update(rows)
+                if not shard:
+                    continue
+                results = ping_in_session(
+                    scenario, origin, f"{origin.name}/ping-shard-{index}",
+                    shard, count=count, pps=pps,
+                )
+                survey.responsive.update(
+                    (dest.addr, result.responded)
+                    for dest, result in zip(shard, results)
+                )
     return survey
 
 
@@ -605,7 +581,7 @@ def run_rr_survey(
     its own random order, at ``pps``.
 
     The survey is an empty-plan, zero-retry campaign: attempt 1 of
-    each VP runs through
+    each VP over the full target list runs through
     :func:`~repro.faults.supervisor.vp_attempt_body`, one task per VP,
     at ``jobs`` (1: in process; ``jobs >= 2``: worker processes whose
     rows and metrics fold back into the parent). Each VP runs inside
@@ -629,16 +605,17 @@ def run_rr_survey(
         inprefix_addrs=[set() for _ in targets],
         rr_slots=slots,
     )
-    payload = vp_attempt_payload(
-        targets, vp_list, order, slots, pps, validate=validate
-    )
-    tasks = [(i, vp.name, 1) for i, vp in enumerate(vp_list)]
+    payload = vp_attempt_payload(targets, vp_list, order, validate=validate)
+    tasks = [
+        (i, vp.name, i, 0, len(targets), slots, pps, 1)
+        for i, vp in enumerate(vp_list)
+    ]
     with TRACER.span(
         "rr_survey", clock=scenario.network.clock,
         vps=len(vp_list), targets=len(targets), jobs=jobs,
     ):
         with timed("rr_survey"):
-            per_vp = run_pooled_tasks(scenario, payload, tasks, jobs, "rr")
+            per_vp = run_pooled_tasks(scenario, payload, tasks, jobs)
         # Merge in VP order so per-destination dict insertion order (and
         # therefore the persisted JSON) is independent of completion
         # order.

@@ -570,8 +570,8 @@ class CampaignRunner:
         watchdog = WorkerWatchdog(
             scenario,
             vp_attempt_payload(
-                target_list, vp_list, self.order, self.slots, self.pps,
-                self.plan, supervised=supervised,
+                target_list, vp_list, self.order, self.plan,
+                supervised=supervised,
             ),
             self.jobs,
             self.supervision,
@@ -702,12 +702,12 @@ class CampaignRunner:
                     else:
                         runnable.append(index)
 
+                # RR units over the full target list (see
+                # ``vp_attempt_body``), keyed by VP index.
                 tasks = [
-                    (
-                        index,
-                        vp_list[index].name,
-                        attempts.get(vp_list[index].name, 0) + 1,
-                    )
+                    (index, vp_list[index].name, index, 0,
+                     len(target_list), self.slots, self.pps,
+                     attempts.get(vp_list[index].name, 0) + 1)
                     for index in runnable
                 ]
                 try:

@@ -1,7 +1,7 @@
 """The task runner, its process pool and its supervision.
 
-Every fan-out in the repo (the survey studies, campaign rounds,
-service units) runs on :class:`WorkerWatchdog`, at any ``jobs``: in
+Every fan-out in the repo (the RR survey, campaign rounds, service
+units) runs on :class:`WorkerWatchdog`, at any ``jobs``: in
 this process for ``jobs=1`` without supervision, on worker processes
 otherwise. The campaign runner
 retries *failures* — tasks that die with an exception. Real
@@ -58,7 +58,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from multiprocessing.connection import wait as _mp_wait
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -298,11 +298,9 @@ def run_vp_attempt(
     attempt: int,
     plan: Optional[FaultPlan],
     targets,
-    position,
     order,
     slots: int,
     pps: float,
-    horizon: float,
     heartbeat: Optional[Callable[[], None]] = None,
     allow_hang: bool = True,
     validate: bool = True,
@@ -325,7 +323,9 @@ def run_vp_attempt(
     ):
         injector: Optional[FaultInjector] = None
         if plan is not None and not plan.is_empty:
-            injector = FaultInjector(network, plan, horizon=horizon)
+            injector = FaultInjector(
+                network, plan, horizon=max(len(targets) / pps, 1e-9)
+            )
             # Non-sticky misbehavior re-rolls per campaign attempt as
             # well as per intra-attempt validation round.
             injector.attempt = attempt
@@ -343,7 +343,6 @@ def run_vp_attempt(
                 scenario,
                 vp,
                 targets,
-                position,
                 order=order,
                 slots=slots,
                 pps=pps,
@@ -603,7 +602,7 @@ def warm_routing_trees(
 ) -> None:
     """Build the routing trees a fan-out over ``dests`` will read.
 
-    Probes from ``sources`` (VPs, or the origin) read the tree of each
+    Probes from ``sources`` (the tasks' VPs) read the tree of each
     destination's AS on the way out and the tree of their own AS on
     the way back. Sources go first, so a set larger than the tree
     LRU's capacity keeps the trees every task shares.
@@ -658,30 +657,22 @@ def vp_attempt_payload(
     targets: List,
     vps: List,
     order,
-    slots: int,
-    pps: float,
     plan: Optional[FaultPlan] = None,
     supervised: bool = False,
     validate: bool = True,
 ) -> dict:
     """The payload :func:`vp_attempt_body` reads.
 
-    The RR survey (an empty ``plan``) and the campaign build it here
-    alike. Task keys are VP indices, grouped by the VP's ASN for
-    dispatch (see :class:`_AffinityQueue`); ``targets`` and ``vps``
-    are also what :class:`WorkerWatchdog` warms before it forks.
+    The RR survey (an empty ``plan``), the campaign and the service
+    build it here alike: the ``vps`` and ``targets`` that RR unit tasks
+    index into, plus what every task of the run shares.
     """
     return {
         "task_body": vp_attempt_body,
-        "affinity": {index: vp.asn for index, vp in enumerate(vps)},
         "targets": targets,
-        "position": {dest.addr: index for index, dest in enumerate(targets)},
         "vps": vps,
         "order": order,
-        "slots": slots,
-        "pps": pps,
         "plan": FaultPlan(seed=0) if plan is None else plan,
-        "horizon": max(len(targets) / pps, 1e-9),
         "supervised": supervised,
         "validate": validate,
     }
@@ -690,18 +681,20 @@ def vp_attempt_payload(
 def vp_attempt_body(
     state: dict, task: tuple, heartbeat: Optional[Callable[[], None]] = None
 ) -> VPRows:
-    """The RR task body: one attempt of one VP, for the survey and the
-    campaign alike.
+    """The RR task body: one VP × target slice × attempt, for the
+    survey, the campaign and the service alike.
 
-    ``task`` is ``(vp_index, vp_name, attempt)``; ``state`` is a
-    :func:`vp_attempt_payload` plus the scenario. Under supervision
-    (``state['supervised']``) an injected hang really wedges and an
-    injected crash really kills the worker: it does not get to report
-    its own death, the pipe EOF *is* the report, exactly as for a real
-    segfault. Unsupervised, both are ordinary failures
+    ``task`` is an RR unit ``(key, label, vp_index, start, stop, slots,
+    pps, attempt)``: the VP is ``state['vps'][vp_index]``, the targets
+    are ``state['targets'][start:stop]`` and rows index them from 0.
+    ``state`` is a :func:`vp_attempt_payload` plus the scenario. Under
+    supervision (``state['supervised']``) an injected hang really
+    wedges and an injected crash really kills the worker: it does not
+    get to report its own death, the pipe EOF *is* the report, exactly
+    as for a real segfault. Unsupervised, both are ordinary failures
     (``allow_hang=False``), which the campaign retries.
     """
-    vp_index, _label, attempt = task
+    vp_index, start, stop, slots, pps, attempt = task[2:8]
     supervised = state["supervised"]
     try:
         return run_vp_attempt(
@@ -709,12 +702,10 @@ def vp_attempt_body(
             state["vps"][vp_index],
             attempt,
             state["plan"],
-            state["targets"],
-            state["position"],
+            state["targets"][start:stop],
             state["order"],
-            state["slots"],
-            state["pps"],
-            state["horizon"],
+            slots,
+            pps,
             heartbeat=heartbeat,
             allow_hang=supervised,
             validate=state["validate"],
@@ -847,20 +838,20 @@ class _WorkerHandle:
         self.progress = progress  # destinations done in current task
         self.task: Optional[tuple] = None  # (key, label, ...)
         self.tries = 0  # watchdog-level tries consumed by current task
-        self.group: object = None  # affinity group of the last task
+        self.group: object = None  # dispatch group of the last task
 
 
 class _AffinityQueue:
-    """Queued tasks, grouped by affinity, each group in submission order.
+    """Queued tasks, grouped by ingress AS, each group in submission order.
 
-    ``affinity`` maps a task key to its group (the pooled surveys and
-    the campaign use the VP's ASN, the key of the per-worker plan
-    caches); a key it does not map is a group of its own, which makes
-    the queue plain FIFO.
+    A task's group is the ASN of the VP it names (``vps[task[2]]``),
+    the key of the per-worker plan caches. Without ``vps`` (a body
+    whose tasks name no VP) each task is a group of its own, which
+    makes the queue plain FIFO.
     """
 
-    def __init__(self, tasks: List[tuple], affinity: Dict) -> None:
-        self._affinity = affinity
+    def __init__(self, tasks: List[tuple], vps: List) -> None:
+        self._vps = vps
         self._groups: Dict[object, deque] = {}
         for task in tasks:
             self._groups.setdefault(self._group_of(task), deque()).append(
@@ -871,7 +862,7 @@ class _AffinityQueue:
         return bool(self._groups)
 
     def _group_of(self, task: tuple) -> object:
-        return self._affinity.get(task[0], task[0])
+        return self._vps[task[2]].asn if self._vps else task[0]
 
     def pop(self, last: object, held: set) -> Tuple[tuple, object]:
         """``(task, group)`` for a worker that last ran group ``last``
@@ -913,15 +904,17 @@ class WorkerWatchdog:
     process, through the same body, with no heartbeat hook; telemetry
     lands in the registry directly and only ``ok`` / ``failed`` can
     occur. Otherwise tasks run on ``jobs`` worker processes, supervised
-    by ``config`` (``None``: :class:`SupervisionConfig` defaults). Just
-    before its first fork the watchdog builds the routing trees of the
-    payload's ``targets`` and ``vps`` (:func:`warm_routing_trees`), so
-    every worker inherits them; in-process runs never warm.
+    by ``config`` (``None``: :class:`SupervisionConfig` defaults).
 
-    Dispatch follows ``payload["affinity"]`` (task key → group, see
-    :class:`_AffinityQueue`): each worker keeps to one group while it
-    has queued tasks, so per-worker caches keyed by the group are
-    built once. Without the map, tasks go out in submission order.
+    A payload with ``vps`` runs RR unit tasks (see
+    :func:`vp_attempt_body`). Just before its first fork the watchdog
+    builds the routing trees of the VPs and target slices the first
+    round's tasks name (:func:`warm_routing_trees`), so every worker
+    inherits them; in-process runs never warm. Dispatch groups tasks
+    by their VP's ASN (:class:`_AffinityQueue`): each worker keeps to
+    one group while it has queued tasks, so per-worker caches keyed by
+    the ingress AS are built once. Without ``vps``, tasks go out in
+    submission order.
 
     Telemetry (metrics snapshots, per-AS options load, spans) from
     *successful and failed* attempts is merged into the parent in key
@@ -1100,18 +1093,23 @@ class WorkerWatchdog:
                     rows, "ok" if error is None else "failed", error
                 )
             return outcomes
-        if not self._warmed:
+        vps = self.payload.get("vps", ())
+        if not self._warmed and vps:
+            targets = self.payload["targets"]
+            slices = dict.fromkeys(task[3:5] for task in tasks)
             warm_routing_trees(
                 self.scenario,
-                self.payload.get("targets", ()),
-                self.payload.get("vps", ()),
+                chain.from_iterable(
+                    targets[start:stop] for start, stop in slices
+                ),
+                [vps[task[2]] for task in tasks],
             )
-            self._warmed = True
+        self._warmed = True
         want = max(1, min(self.jobs, len(tasks)))
         while len(self._workers) < want:
             self._workers.append(self._spawn_worker())
 
-        queue = _AffinityQueue(tasks, self.payload.get("affinity", {}))
+        queue = _AffinityQueue(tasks, vps)
         raw_results: List[tuple] = []
         in_flight = 0
 

@@ -13,7 +13,6 @@ from repro.probing.scheduler import (
     order_destinations,
     split_round_robin,
 )
-from repro.probing.warts import WartsReader, WartsStore, WartsWriter
 from repro.probing.vantage import SITE_CITIES, Platform, VantagePoint, vp_addr
 
 __all__ = [
@@ -27,9 +26,6 @@ __all__ = [
     "ProbeOrder",
     "order_destinations",
     "split_round_robin",
-    "WartsReader",
-    "WartsStore",
-    "WartsWriter",
     "SITE_CITIES",
     "Platform",
     "VantagePoint",

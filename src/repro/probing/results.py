@@ -1,8 +1,8 @@
 """Typed probe results and the RR-header decoding they carry.
 
-These are the measurement-side records (what scamper would write to a
-warts file): everything in them was parsed from reply packet bytes, and
-nothing leaks in from simulator ground truth.
+These are the measurement-side records (what scamper would record):
+everything in them was parsed from reply packet bytes, and nothing
+leaks in from simulator ground truth.
 """
 
 from __future__ import annotations

@@ -106,11 +106,17 @@ class Scenario:
         """VPs that are not locally filtered (can emit options packets)."""
         return [vp for vp in self.vps if not vp.local_filtered]
 
-    def vp_by_name(self, name: str) -> VantagePoint:
-        for vp in self.vps + self.cloud_vps + (
+    @property
+    def all_vps(self) -> List[VantagePoint]:
+        """Every VP :meth:`vp_by_name` resolves: the paper's VPs, the
+        cloud VPs and the origin."""
+        return self.vps + self.cloud_vps + (
             [self.origin] if self.origin else []
-        ):
-            if vp is not None and vp.name == name:
+        )
+
+    def vp_by_name(self, name: str) -> VantagePoint:
+        for vp in self.all_vps:
+            if vp.name == name:
                 return vp
         raise KeyError(f"unknown vantage point {name!r}")
 

@@ -43,7 +43,7 @@ from repro.probing.artifacts import (
 )
 from repro.scenarios.internet import Scenario
 from repro.service.credits import CreditLedger, TenantQuota
-from repro.service.executor import ServiceExecutor, make_unit_task
+from repro.service.executor import ServiceExecutor
 from repro.service.scheduler import (
     ACTIVE,
     CreditScheduler,
@@ -444,21 +444,7 @@ class MeasurementDaemon:
                     plan = self.scheduler.plan_round(
                         allows=self._tenant_allowed
                     )
-                    tasks = [
-                        make_unit_task(
-                            index,
-                            f"{state_spec.spec.label}#{unit_index}",
-                            state_spec.vp_names[unit_index],
-                            state_spec.spec.kind,
-                            state_spec.spec.target_offset,
-                            state_spec.spec.target_count,
-                            state_spec.spec.slots,
-                            state_spec.spec.pps,
-                        )
-                        for index, (state_spec, unit_index) in enumerate(
-                            plan
-                        )
-                    ]
+                    tasks = executor.tasks(plan)
                 if not plan:
                     if accrued <= 0.0:
                         # No credits were (or ever will be) granted:
@@ -474,7 +460,7 @@ class MeasurementDaemon:
                 # submissions land concurrently and join next round.
                 outcomes = executor.run(tasks)
                 with self._lock:
-                    self._fold_round(plan, tasks, outcomes)
+                    self._fold_round(plan, outcomes)
         except ServiceInterrupted:
             self._publish_status("interrupted", force=True)
             raise
@@ -490,14 +476,14 @@ class MeasurementDaemon:
     def _fold_round(
         self,
         plan: List[Tuple[SpecState, int]],
-        tasks: List[tuple],
         outcomes: Dict[int, tuple],
     ) -> None:
-        """Fold one round's outcomes back, strictly in plan order."""
+        """Fold one round's outcomes (keyed by plan position) back,
+        strictly in plan order."""
         config = self.config
-        for (state_spec, unit_index), task in zip(plan, tasks):
+        for key, (state_spec, unit_index) in enumerate(plan):
             result, kind, error = outcomes.get(
-                task[0], (None, "failed", "worker returned no outcome")
+                key, (None, "failed", "worker returned no outcome")
             )
             tenant = state_spec.spec.tenant
             if kind == "ok" and result is not None:
@@ -521,7 +507,7 @@ class MeasurementDaemon:
                     "record": "unit",
                     "version": 1,
                     "unit": unit_index,
-                    "vp": task[2],
+                    "vp": state_spec.vp_names[unit_index],
                     "kind": state_spec.spec.kind,
                     "targets": state_spec.targets_count,
                     "probes": state_spec.unit_probes,

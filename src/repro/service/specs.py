@@ -9,8 +9,8 @@ strict and every rejection carries a *machine-readable* reason code
 and "invalid spec" is not an actionable answer.
 
 The **unit** of scheduling and execution is one VP probing the spec's
-full target slice — exactly the deterministic per-VP session the
-parallel engine shards (``probe_vp_rr``), so a unit's result bytes
+full target slice — for rr specs, exactly the RR unit the survey and
+the campaign run (``vp_attempt_body``), so a unit's result bytes
 are a function of (scenario, seed, spec, unit index) alone, never of
 worker count or scheduling order. That is the keystone of the
 service's byte-identical streams invariant (see DESIGN.md).

@@ -7,6 +7,8 @@ from repro.core.drop_location import (
     localize_drop,
     run_drop_study,
 )
+from repro.core.study import run_full_study
+from repro.scenarios.presets import get_preset
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +117,22 @@ class TestStudy:
     def test_render(self, study):
         text = study.render()
         assert "2005" in text and "edge" in text
+
+
+def _drop_study_after_surveys(jobs: int):
+    """The RR and ping surveys on a fresh tiny world at ``jobs``, then
+    the drop study that reads them, as ``repro study`` runs them."""
+    data = run_full_study(get_preset("tiny", 2016), jobs=jobs)
+    return run_drop_study(
+        data.scenario, data.ping_survey, data.rr_survey, sample=50
+    )
+
+
+def test_drop_study_repeats_at_any_survey_jobs():
+    """Surveys run in this process at jobs=1 and leave limiter, clock
+    and loss state behind; at jobs=2 the RR survey runs in workers and
+    leaves none. Each localisation probes in its own session, so the
+    study reads none of it."""
+    serial = _drop_study_after_surveys(1)
+    assert serial.results
+    assert _drop_study_after_surveys(2).results == serial.results

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.probing.artifacts import ArtifactError
 from repro.obs.status import render_status
 from repro.scenarios.presets import get_preset
@@ -329,6 +329,56 @@ def test_streams_byte_identical_across_worker_counts(tmp_path):
     # The over-quota rejection is itself deterministic.
     assert rejects[1] == rejects[2] == rejects[4]
     assert rejects[1][0]["reason"] == "spec_budget_exceeds_quota"
+
+
+def _plan_compiles() -> float:
+    family = REGISTRY.snapshot().get("plan_compiles_total")
+    return sum(s["value"] for s in family["series"]) if family else 0.0
+
+
+def _pack_compiles(tmp_path: Path, jobs: int) -> float:
+    """Plan compiles of a two-tenant rr pack on a fresh mid world.
+
+    Both specs probe the same 40 targets from VPs in two ASes X and Y,
+    in opposite order: each round plans one X unit and one Y unit, and
+    their submission order flips from round to round.
+    """
+    scenario = get_preset("mid", 2016)
+    by_asn = {}
+    for vp in scenario.working_vps:
+        by_asn.setdefault(vp.asn, []).append(vp.name)
+    x, y = [names for _asn, names in sorted(by_asn.items())][:2]
+    quota = TenantQuota(
+        initial_credits=1e9, accrual_per_round=0.0, balance_cap=1e9,
+        max_probes_per_spec=10**9,
+    )
+    daemon = MeasurementDaemon(
+        scenario,
+        ServiceConfig(
+            stream_dir=tmp_path / f"jobs{jobs}", jobs=jobs, quota=quota
+        ),
+        registry=_registry(),
+    )
+    for tenant, names in (
+        ("a", [x[0], y[0], x[1], y[1]]),
+        ("b", [y[2], x[2], y[3], x[3]]),
+    ):
+        assert daemon.submit({
+            "tenant": tenant, "name": "rr", "kind": "rr",
+            "target_count": 40, "vp_policy": "named", "vp_names": names,
+        })["ok"]
+    before = _plan_compiles()
+    daemon.run()
+    return _plan_compiles() - before
+
+
+def test_pooled_units_keep_their_ingress_as_on_one_worker(tmp_path):
+    """Service units are grouped by their VP's AS like survey tasks,
+    so each worker compiles only its own ASes' plans. Dispatching in
+    submission order hands both workers both ASes: 2x the compiles."""
+    serial = _pack_compiles(tmp_path, 1)
+    assert serial > 0
+    assert _pack_compiles(tmp_path, 2) <= 1.5 * serial
 
 
 def test_kill_resume_is_byte_identical_and_restores_balances(tmp_path):

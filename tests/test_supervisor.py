@@ -96,14 +96,17 @@ def _survey_bytes(survey, tmp_path, name):
 
 def _watchdog_payload(world, targets, vp_list, plan):
     return vp_attempt_payload(
-        targets, vp_list, ProbeOrder.RANDOM, 9, DEFAULT_PPS, plan,
-        supervised=True,
+        targets, vp_list, ProbeOrder.RANDOM, plan, supervised=True,
     )
 
 
 def _first_attempts(vp_list, indices):
-    """Campaign tasks ``(vp_index, vp_name, attempt)`` for attempt 1."""
-    return [(index, vp_list[index].name, 1) for index in indices]
+    """Campaign tasks for attempt 1 of each VP over all ``N_DESTS``
+    targets (see ``vp_attempt_body``)."""
+    return [
+        (index, vp_list[index].name, index, 0, N_DESTS, 9, DEFAULT_PPS, 1)
+        for index in indices
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +227,9 @@ class TestVpHealthTracker:
 
 class TestHeartbeat:
     def test_probe_vp_rr_beats_once_per_destination(self, world, targets):
-        position = {d.addr: i for i, d in enumerate(targets)}
         beats = []
         probe_vp_rr(
-            world, world.working_vps[0], targets, position,
+            world, world.working_vps[0], targets,
             heartbeat=lambda: beats.append(1),
         )
         assert len(beats) == len(targets)
@@ -241,12 +243,11 @@ class TestHeartbeat:
             specs=(VpHang(vps=(vp.name,), after_targets=0,
                           hang_seconds=60.0),),
         )
-        position = {d.addr: i for i, d in enumerate(targets)}
         started = time.monotonic()
         with pytest.raises(InjectedHang):
             run_vp_attempt(
-                world, vp, 1, plan, targets, position,
-                ProbeOrder.RANDOM, 9, DEFAULT_PPS, 1.0,
+                world, vp, 1, plan, targets,
+                ProbeOrder.RANDOM, 9, DEFAULT_PPS,
                 allow_hang=False,
             )
         # The honest stand-in for "stuck forever" must not stall tests.
@@ -379,14 +380,25 @@ def _raising_body(state, task, heartbeat=None):
 
 
 class TestAffinityDispatch:
-    """12 tasks in 4 affinity groups, interleaved in submission order,
+    """12 tasks naming VPs in 4 ASes, interleaved in submission order,
     on 2 workers."""
 
+    #: Task key -> the AS of the VP it names (``as{vp_index}``).
     AFFINITY = {key: f"as{key % 4}" for key in range(12)}
-    TASKS = [(key, f"task-{key}") for key in range(12)]
+    TASKS = [
+        (key, f"task-{key}", key % 4, 0, 0, 9, DEFAULT_PPS, 1)
+        for key in range(12)
+    ]
 
     def _run(self, world, **state):
-        payload = dict(state, task_body=_pid_body, affinity=self.AFFINITY)
+        # One VP from each of 4 ASes: task ``key`` names VP
+        # ``key % 4``, so its dispatch group is that VP's ASN.
+        by_asn = {}
+        for vp in world.vps:
+            by_asn.setdefault(vp.asn, vp)
+        vps = list(by_asn.values())[:4]
+        assert len(vps) == 4
+        payload = dict(state, task_body=_pid_body, vps=vps, targets=[])
         with WorkerWatchdog(world, payload, 2, SupervisionConfig()) as pool:
             return pool.run_tasks(list(self.TASKS))
 
