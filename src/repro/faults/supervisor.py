@@ -54,6 +54,7 @@ Everything observable lands in the metrics registry
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from collections import deque
@@ -753,6 +754,11 @@ def _worker_main(payload, conn, heartbeat_value, progress_value) -> None:
     never wake the parent mid-task.
     """
     state = _init_worker(payload)
+    # The worker keeps what it inherited (or built, under spawn) for
+    # life; frozen, its collector never walks it. A full collection
+    # over a large parent's heap mid-task (0.6-0.7 s) outlasts short
+    # heartbeat deadlines and dirties every shared page it touches.
+    gc.freeze()
     scenario = state["scenario"]
     recorder = FlightRecorder()
     flushed_seq = 0

@@ -27,7 +27,12 @@ from repro.topology.prefixes import (
     infra_prefix,
 )
 from repro.topology.routers import Hop, RouterFabric, RouterNode
-from repro.topology.routing import RouteInfo, RouteKind, RoutingSystem
+from repro.topology.routing import (
+    RouteInfo,
+    RouteKind,
+    RoutingSystem,
+    RoutingTree,
+)
 
 __all__ = [
     "ASGraph",
@@ -57,4 +62,5 @@ __all__ = [
     "RouteInfo",
     "RouteKind",
     "RoutingSystem",
+    "RoutingTree",
 ]

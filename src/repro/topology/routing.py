@@ -19,13 +19,23 @@ asking for many sources' paths to the same destination is cheap.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional
+from collections.abc import Mapping
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.obs.metrics import REGISTRY
 from repro.topology.autsys import ASGraph
 
-__all__ = ["RouteKind", "RouteInfo", "RoutingSystem"]
+__all__ = ["RouteKind", "RouteInfo", "RoutingSystem", "RoutingTree"]
 
 # Route preference, higher is better (Gao–Rexford).
 KIND_CUSTOMER = 3
@@ -49,6 +59,83 @@ class RouteInfo(NamedTuple):
     next_hop: Optional[int]  # neighbour toward dest; None at dest
 
 
+class RoutingTree(Mapping[int, RouteInfo]):
+    """Every AS's selected route toward one destination (read-only).
+
+    The tree is three flat arrays over the routing system's dense AS
+    index: route kind (0 = no route), AS-hop length, and next-hop index
+    (-1 at the destination). The arrays hold raw machine integers, no
+    Python objects, so a cached tree costs the collector four objects
+    instead of one ``RouteInfo`` per AS, and forked workers read it
+    without touching per-AS refcounts (its pages stay shared
+    copy-on-write). As a ``Mapping[int, RouteInfo]`` it builds each
+    ``RouteInfo`` on demand; the path helpers read the arrays directly.
+    """
+
+    __slots__ = ("_index", "_asns", "_kind", "_length", "_next", "_size")
+
+    def __init__(
+        self,
+        index: Dict[int, int],
+        asns: Tuple[int, ...],
+        kind: List[int],
+        length: List[int],
+        next_hop: List[int],
+    ) -> None:
+        self._index = index
+        self._asns = asns
+        self._kind = array("b", kind)
+        self._length = array("i", length)
+        self._next = array("i", next_hop)
+        self._size = len(kind) - kind.count(0)
+
+    def _slot(self, asn: object) -> int:
+        """Dense index of ``asn`` if it has a route, else -1."""
+        i = self._index.get(asn)  # type: ignore[call-overload]
+        if i is None or not self._kind[i]:
+            return -1
+        return i
+
+    def __getitem__(self, asn: int) -> RouteInfo:
+        i = self._slot(asn)
+        if i < 0:
+            raise KeyError(asn)
+        via = self._next[i]
+        return RouteInfo(
+            self._kind[i], self._length[i], None if via < 0 else self._asns[via]
+        )
+
+    def __contains__(self, asn: object) -> bool:
+        return self._slot(asn) >= 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[int]:
+        asns = self._asns
+        return (asns[i] for i, kind in enumerate(self._kind) if kind)
+
+    def path(self, src: int) -> Optional[List[int]]:
+        """AS path from ``src`` to the destination, or None if unrouted."""
+        i = self._slot(src)
+        if i < 0:
+            return None
+        asns = self._asns
+        next_hop = self._next
+        path = [src]
+        # Every next hop has a strictly shorter route, so this ends.
+        i = next_hop[i]
+        while i >= 0:
+            path.append(asns[i])
+            i = next_hop[i]
+        return path
+
+    def path_length(self, src: int) -> Optional[int]:
+        """AS-hop count from ``src`` to the destination, or None."""
+        i = self._slot(src)
+        return None if i < 0 else self._length[i]
+
+
 class RoutingSystem:
     """Computes and caches valley-free routing trees over an ASGraph."""
 
@@ -56,7 +143,7 @@ class RoutingSystem:
         self._graph = graph
         self._cache_size = cache_size
         #: True LRU: most-recently-used trees live at the right end.
-        self._trees: "OrderedDict[int, Dict[int, RouteInfo]]" = OrderedDict()
+        self._trees: "OrderedDict[int, RoutingTree]" = OrderedDict()
         lookups = REGISTRY.counter(
             "routing_tree_cache_lookups_total",
             "Routing-tree LRU cache lookups, by result.",
@@ -68,12 +155,12 @@ class RoutingSystem:
             "routing_tree_cache_evictions_total",
             "Routing trees evicted from the LRU cache.",
         ).labels()
-        #: Lazily-built adjacency snapshot: asn -> (providers, peers,
-        #: sorted customers) as tuples. ``ASGraph``'s accessors copy
-        #: into a fresh frozenset per call, which a tree compute hits
-        #: thousands of times; snapshotting once per graph generation
-        #: (dropped by ``clear_cache``) removes that from the loop.
-        self._adj: Optional[Dict[int, tuple]] = None
+        #: Lazily-built dense index, once per graph generation (dropped
+        #: by ``clear_cache``): (asn -> index, index -> asn, providers,
+        #: peers, customers), the last three as sorted index tuples per
+        #: AS. ASNs are numbered in ascending order, so comparing
+        #: indexes breaks ties exactly as comparing ASNs would.
+        self._dense: Optional[tuple] = None
 
     @property
     def graph(self) -> ASGraph:
@@ -91,7 +178,7 @@ class RoutingSystem:
 
     # -- routing trees -----------------------------------------------------
 
-    def routing_tree(self, dest: int) -> Dict[int, RouteInfo]:
+    def routing_tree(self, dest: int) -> RoutingTree:
         """Every AS's selected route toward ``dest`` (absent = no route)."""
         cached = self._trees.get(dest)
         if cached is not None:
@@ -106,120 +193,106 @@ class RoutingSystem:
             self._cache_evictions.inc()
         return tree
 
-    def _adjacency(self) -> Dict[int, tuple]:
-        adj = self._adj
-        if adj is None:
+    def _dense_index(self) -> tuple:
+        dense = self._dense
+        if dense is None:
             graph = self._graph
-            adj = {
-                asn: (
-                    tuple(graph.providers_of(asn)),
-                    tuple(graph.peers_of(asn)),
-                    tuple(sorted(graph.customers_of(asn))),
-                )
-                for asn in graph.asns()
-            }
-            self._adj = adj
-        return adj
+            asns = tuple(graph.asns())  # ascending
+            index = {asn: i for i, asn in enumerate(asns)}
 
-    def _compute_tree(self, dest: int) -> Dict[int, RouteInfo]:
-        if dest not in self._graph:
+            def indexes(neighbours: FrozenSet[int]) -> Tuple[int, ...]:
+                return tuple(sorted(index[asn] for asn in neighbours))
+
+            dense = self._dense = (
+                index,
+                asns,
+                tuple(indexes(graph.providers_of(asn)) for asn in asns),
+                tuple(indexes(graph.peers_of(asn)) for asn in asns),
+                tuple(indexes(graph.customers_of(asn)) for asn in asns),
+            )
+        return dense
+
+    def _compute_tree(self, dest: int) -> RoutingTree:
+        index, asns, providers, peers, customers = self._dense_index()
+        target = index.get(dest)
+        if target is None:
             raise KeyError(f"unknown destination ASN {dest}")
-        adj = self._adjacency()
-        # ~n RouteInfo allocations per tree and a few comparisons per
-        # edge make this the scenario-wide routing hot spot; building
-        # the (still genuine) RouteInfo tuples via ``tuple.__new__``
-        # skips the generated-constructor frame, and field access in
-        # the loops uses indices instead of the namedtuple properties.
-        mk = tuple.__new__
-        routes: Dict[int, RouteInfo] = {
-            dest: mk(RouteInfo, (KIND_CUSTOMER, 0, None))
-        }
+        count = len(asns)
+        kind = [0] * count
+        length = [0] * count
+        next_hop = [-1] * count
+        kind[target] = KIND_CUSTOMER
 
         # Phase 1 — customer routes: the destination's reachability climbs
         # provider links, so every AS on an all-uphill path learns a
-        # customer route. Level-synchronous BFS keeps lengths minimal and
-        # lets ties resolve to the lowest next-hop ASN.
-        frontier = [dest]
-        length = 0
+        # customer route. Level-synchronous BFS keeps lengths minimal;
+        # each level is walked in ascending index order, so the first
+        # AS to reach a provider is its lowest next hop.
+        routed = [target]
+        frontier = [target]
+        hops = 0
         while frontier:
-            length += 1
-            candidates: Dict[int, int] = {}
-            for asn in frontier:
-                for provider in adj[asn][0]:
-                    if provider in routes:
-                        continue
-                    best = candidates.get(provider)
-                    if best is None or asn < best:
-                        candidates[provider] = asn
-            for provider, via in candidates.items():
-                routes[provider] = mk(
-                    RouteInfo, (KIND_CUSTOMER, length, via)
-                )
-            frontier = sorted(candidates)
+            hops += 1
+            level = []
+            for i in frontier:
+                for provider in providers[i]:
+                    if not kind[provider]:
+                        kind[provider] = KIND_CUSTOMER
+                        length[provider] = hops
+                        next_hop[provider] = i
+                        level.append(provider)
+            level.sort()
+            routed.extend(level)
+            frontier = level
 
         # Phase 2 — peer routes: one sideways hop from any AS holding a
         # customer route (or the destination itself). Customer routes
-        # always win, so only routeless ASes adopt.
-        peer_routes: Dict[int, RouteInfo] = {}
-        for asn, info in routes.items():
-            length = info[1] + 1
-            for peer in adj[asn][1]:
-                if peer in routes:
-                    continue
-                best = peer_routes.get(peer)
-                # Unrolled (length, asn) < (best.length, best.next_hop)
-                # — peer routes always carry an integer next hop.
-                if best is None or length < best[1] or (
-                    length == best[1] and asn < best[2]
+        # always win, so only routeless ASes adopt, keeping the least
+        # (length, next hop). Peer routes join ``routed`` as they are
+        # found, so the loop walks a copy of the customer routes.
+        for i in routed[:]:
+            hops = length[i] + 1
+            for peer in peers[i]:
+                held = kind[peer]
+                if not held:
+                    kind[peer] = KIND_PEER
+                    length[peer] = hops
+                    next_hop[peer] = i
+                    routed.append(peer)
+                elif held == KIND_PEER and (
+                    hops < length[peer]
+                    or (hops == length[peer] and i < next_hop[peer])
                 ):
-                    peer_routes[peer] = mk(
-                        RouteInfo, (KIND_PEER, length, asn)
-                    )
-        routes.update(peer_routes)
+                    length[peer] = hops
+                    next_hop[peer] = i
 
         # Phase 3 — provider routes: every routed AS exports its selected
         # route to customers, recursively. Seed lengths differ, so this
-        # is a unit-weight Dijkstra down customer links — and with unit
-        # weights a bucket queue visits nodes in exactly the order a
-        # ``(length, asn)`` heap would: lengths ascending, ASNs
-        # ascending within a length (relaxations from bucket ``l`` only
-        # ever land in bucket ``l + 1``, so each bucket is complete
-        # before it is processed). Same visit order, same tie-breaks,
-        # no per-edge heap churn.
-        buckets: Dict[int, List[int]] = {}
-        for asn, info in routes.items():
-            buckets.setdefault(info[1], []).append(asn)
-        settled: Dict[int, int] = {}
-        routes_get = routes.get
-        settled_get = settled.get
-        length = 0
-        while buckets:
-            group = buckets.pop(length, None)
-            nxt = length + 1
-            if group is not None:
-                group.sort()
-                for asn in group:
-                    if settled_get(asn, 1 << 30) <= length:
-                        continue
-                    settled[asn] = length
-                    for customer in adj[asn][2]:
-                        best = routes_get(customer)
-                        # Unrolled: skip unless the candidate (nxt, asn)
-                        # strictly beats a provider route (customer and
-                        # peer routes always win). Provider routes carry
-                        # an integer next hop, so best[2] is comparable.
-                        if best is not None and (
-                            best[0] > KIND_PROVIDER
-                            or best[1] < nxt
-                            or (best[1] == nxt and best[2] <= asn)
-                        ):
-                            continue
-                        routes[customer] = mk(
-                            RouteInfo, (KIND_PROVIDER, nxt, asn)
-                        )
-                        buckets.setdefault(nxt, []).append(customer)
-            length = nxt
-        return routes
+        # is a unit-weight Dijkstra down customer links, run as a bucket
+        # queue: buckets by length ascending, each sorted, so routes are
+        # exported in ``(length, index)`` order and the first offer a
+        # routeless customer gets is its best provider route.
+        buckets: List[List[int]] = [[] for _ in range(max(length) + 2)]
+        for i in routed:
+            buckets[length[i]].append(i)
+        hops = 0
+        while hops < len(buckets):
+            group = buckets[hops]
+            hops += 1
+            if not group:
+                continue
+            group.sort()
+            if hops == len(buckets):
+                buckets.append([])
+            reached = buckets[hops]
+            for i in group:
+                for customer in customers[i]:
+                    if not kind[customer]:
+                        kind[customer] = KIND_PROVIDER
+                        length[customer] = hops
+                        next_hop[customer] = i
+                        reached.append(customer)
+        return RoutingTree(index, asns, kind, length, next_hop)
 
     # -- paths ---------------------------------------------------------
 
@@ -231,21 +304,7 @@ class RoutingSystem:
         """
         if src == dest:
             return [src]
-        tree = self.routing_tree(dest)
-        info = tree.get(src)
-        if info is None:
-            return None
-        path = [src]
-        current = src
-        while current != dest:
-            next_hop = tree[current].next_hop
-            if next_hop is None:  # pragma: no cover - defensive
-                return None
-            path.append(next_hop)
-            current = next_hop
-            if len(path) > len(self._graph) + 1:  # pragma: no cover
-                raise RuntimeError("routing loop detected")
-        return path
+        return self.routing_tree(dest).path(src)
 
     def reachable_from(self, src: int, dest: int) -> bool:
         if src == dest:
@@ -256,10 +315,9 @@ class RoutingSystem:
         """AS-hop count from ``src`` to ``dest`` (0 when equal)."""
         if src == dest:
             return 0
-        info = self.routing_tree(dest).get(src)
-        return None if info is None else info.length
+        return self.routing_tree(dest).path_length(src)
 
     def clear_cache(self) -> None:
         """Drop every cached routing tree (call after graph mutation)."""
         self._trees.clear()
-        self._adj = None
+        self._dense = None

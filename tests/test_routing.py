@@ -87,6 +87,16 @@ class TestPolicy:
         routing = build(edges_transit=[(2, 1), (3, 1), (5, 2), (5, 3)])
         assert routing.as_path(1, 5) == [1, 2, 5]
 
+    def test_tie_broken_by_lowest_next_hop_levels_up(self):
+        # 1 reaches 10 up two equal-length customer chains, 1<-4<-5<-10
+        # and 1<-3<-8<-10: the tie is at 1, between next hops 3 and 4,
+        # though 4 sits on the branch through the lower ASN 5.
+        routing = build(
+            edges_transit=[(10, 5), (10, 8), (5, 4), (8, 3), (4, 1), (3, 1)],
+            count=10,
+        )
+        assert routing.as_path(1, 10) == [1, 3, 8, 10]
+
 
 class TestValleyFreeInvariant:
     def test_generated_topology_paths_are_valley_free(self):

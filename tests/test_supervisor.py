@@ -17,6 +17,7 @@ The load-bearing properties pinned here:
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -351,6 +352,24 @@ class TestWorkerWatchdog:
                 key: (None if kind == "ok" else rows, kind, error)
                 for key, (rows, kind, error) in outcomes[2][name].items()
             }
+
+    def test_workers_freeze_inherited_heap(self, world):
+        # A worker's collector must never walk the heap it inherited: a
+        # full collection over a large parent's heap mid-task outlasts
+        # short heartbeat deadlines. The parent's own heap stays live.
+        before = gc.get_freeze_count()
+        tasks = [(key, f"task-{key}") for key in range(2)]
+        with WorkerWatchdog(world, {"task_body": _freeze_body}, 2,
+                            None) as pool:
+            outcomes = pool.run_tasks(tasks)
+        assert all(kind == "ok" for _n, kind, _err in outcomes.values())
+        assert all(frozen > 0 for frozen, _kind, _err in outcomes.values())
+        assert gc.get_freeze_count() == before
+
+
+def _freeze_body(state, task, heartbeat=None):
+    """How many objects the worker running ``task`` holds frozen."""
+    return gc.get_freeze_count()
 
 
 def _pid_body(state, task, heartbeat=None):
